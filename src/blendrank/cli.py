@@ -248,27 +248,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_benchmark_scorer(args) -> int:
-    import time
-
-    from .scorer import compile_ensemble, score_batch
-    model = load_model(args.model)
-    rng = np.random.default_rng(args.seed)
-    X = rng.normal(size=(args.docs, model.feature_count))
-    compiled = compile_ensemble(model)
-    score_batch(compiled, X[:128])  # warm up
-    t0 = time.perf_counter()
-    score_batch(compiled, X)
-    compiled_ns = (time.perf_counter() - t0) * 1e9 / args.docs
-    t0 = time.perf_counter()
-    model.score_batch(X)
-    naive_ns = (time.perf_counter() - t0) * 1e9 / args.docs
-    print(f"{model.n_trees} trees, {model.feature_count} features, {args.docs} docs")
-    print(f"compiled traversal: {compiled_ns:,.0f} ns/doc")
-    print(f"naive traversal:    {naive_ns:,.0f} ns/doc")
-    return 0
-
-
 def cmd_sweep(args) -> int:
     pipe = _load_pipeline(args, need_model=False)
     queries = pipe._queries
@@ -445,12 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_train_args(sub.add_parser("train", help="train a re-ranking model"), 0)
     add_train_args(sub.add_parser("tune",
                                   help="random-search hyperparameters, then train"), 16)
-
-    p = sub.add_parser("benchmark-scorer", help="compiled vs naive scoring ns/doc")
-    p.add_argument("--model", required=True)
-    p.add_argument("--docs", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_benchmark_scorer)
 
     p = sub.add_parser("sweep", help="probe x cutoff efficiency/effectiveness grid")
     add_runtime_args(p)

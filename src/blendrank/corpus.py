@@ -209,7 +209,10 @@ class InvertedIndex:
         # Derived per-document statistics used by the lexical features.
         self.unique_terms = np.zeros(self.n_docs, dtype=np.int64)
         sq_norm = np.zeros(self.n_docs, dtype=np.float64)
-        for term, (ids, tfs, _) in postings.items():
+        # Terms in sorted order, as CRIX1 stores them, so that a built index
+        # and its loaded copy sum each norm in the same order.
+        for term in sorted(postings):
+            ids, tfs, _ = postings[term]
             self.unique_terms[ids] += 1
             idf = self.idf(term)
             w = tfs.astype(np.float64) * idf

@@ -243,18 +243,35 @@ def save_ivf(index: IvfIndex, path) -> None:
 
 
 def load_ivf(path) -> IvfIndex:
+    """Read a CRIV1 file; a damaged file raises ValueError naming the path
+    and the section at fault."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:5] != IVF_MAGIC:
         raise ValueError(f"{path}: bad magic, not a CRIV1 index")
-    off = 5
-    metric_code, nlist, dim, n_docs = struct.unpack_from("<BIIQ", data, off)
-    off += struct.calcsize("<BIIQ")
-    cent = np.frombuffer(data, dtype="<f8", count=nlist * dim, offset=off).reshape(nlist, dim).copy()
-    off += 8 * nlist * dim
-    offsets = np.frombuffer(data, dtype="<i8", count=nlist + 1, offset=off).copy()
-    off += 8 * (nlist + 1)
-    ids = np.frombuffer(data, dtype="<i8", count=n_docs, offset=off).copy()
-    off += 8 * n_docs
-    vecs = np.frombuffer(data, dtype="<f4", count=n_docs * dim, offset=off).reshape(n_docs, dim).copy()
-    return IvfIndex(Centroids(cent), offsets, ids, vecs, METRICS[metric_code])
+    off = 5 + struct.calcsize("<BIIQ")
+    if len(data) < off:
+        raise ValueError(f"{path}: header truncated ({len(data)} bytes)")
+    metric_code, nlist, dim, n_docs = struct.unpack_from("<BIIQ", data, 5)
+    if metric_code >= len(METRICS):
+        raise ValueError(f"{path}: header names unknown metric code {metric_code}")
+    sections = {}
+    for name, dtype, count in (("centroids", "<f8", nlist * dim), ("offsets", "<i8", nlist + 1),
+                               ("ids", "<i8", n_docs), ("vectors", "<f4", n_docs * dim)):
+        end = off + np.dtype(dtype).itemsize * count
+        if end > len(data):
+            raise ValueError(f"{path}: {name} section truncated: the header implies "
+                             f"bytes {off}-{end}, the file has {len(data)}")
+        sections[name] = np.frombuffer(data, dtype=dtype, count=count, offset=off).copy()
+        off = end
+    if off != len(data):
+        raise ValueError(f"{path}: {len(data) - off} bytes after the vectors section; "
+                         f"the header implies {off} bytes in all")
+    offsets, ids = sections["offsets"], sections["ids"]
+    if offsets[0] != 0 or offsets[-1] != n_docs or np.any(np.diff(offsets) < 0):
+        raise ValueError(f"{path}: offsets section must run from 0 to n_docs={n_docs} "
+                         "without decreasing")
+    if not np.array_equal(np.sort(ids), np.arange(n_docs)):
+        raise ValueError(f"{path}: ids section is not a permutation of 0..{n_docs - 1}")
+    return IvfIndex(Centroids(sections["centroids"].reshape(nlist, dim)), offsets, ids,
+                    sections["vectors"].reshape(n_docs, dim), METRICS[metric_code])

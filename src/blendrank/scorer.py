@@ -1,151 +1,108 @@
-"""Fast flat ensemble scoring via per-feature condition lists and leaf
-bitvectors.
+"""Exact forest scoring by one flat, fixed-depth traversal over all trees.
 
-Each internal node of every tree becomes one condition (feature, threshold,
-tree id, false-mask). Conditions are grouped per feature and sorted by
-threshold; evaluating a document scans each list only while the feature
-value exceeds the threshold, ANDing the false-mask into the tree's
-bitvector. A node's false-mask zeroes exactly the leaves of its left
-subtree, which are unreachable when value <= threshold is false. After all
-features are processed, the lowest set bit of each tree's bitvector is the
-exit leaf found by root-to-leaf traversal.
+Every tree's node arrays are concatenated into one flat forest, with each
+tree's root at a known offset. A leaf points to itself on both sides and
+its threshold is +inf, so a document that has reached its exit leaf stays
+there. Scoring a batch starts an (n_rows, n_trees) node matrix at the roots
+and advances every (row, tree) pair one level per step, for as many steps
+as the deepest tree has levels; no step branches on the data.
 
-The contract is exact equality with naive traversal, bit for bit: identical
-leaf selection and identical summation order (learning_rate * weight added
-tree by tree).
+The contract is exact equality with naive traversal (`Ensemble.score_batch`),
+bit for bit: value <= threshold descends left and anything else, NaN
+included, descends right, so the exit leaves are the same; the scores are
+summed as learning_rate * weight added tree by tree, in tree order, which is
+the same summation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .ltr import Ensemble, RegressionTree
-
-MAX_LEAVES = 64
-_FULL = (1 << 64) - 1
+from .ltr import Ensemble
 
 
-@dataclass
-class _FeatureConditions:
+class FeatureThresholds(NamedTuple):
     thresholds: np.ndarray
-    tree_ids: np.ndarray
-    masks: np.ndarray
 
 
 class CompiledEnsemble:
-    """Condition-ordered form of an Ensemble; immutable and reentrant."""
+    """All trees of an Ensemble as one flat forest; immutable and reentrant."""
 
-    def __init__(self, conditions: dict[int, _FeatureConditions],
-                 leaf_weights: np.ndarray, default_bits: np.ndarray,
-                 learning_rate: float, feature_count: int, n_trees: int):
-        self.conditions = conditions
-        self.leaf_weights = leaf_weights
-        self.default_bits = default_bits
+    def __init__(self, feature: np.ndarray, threshold: np.ndarray, left: np.ndarray,
+                 right: np.ndarray, value: np.ndarray, roots: np.ndarray, depth: int,
+                 learning_rate: float, feature_count: int):
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.value = value
+        self.roots = roots
+        self.depth = depth
         self.learning_rate = learning_rate
         self.feature_count = feature_count
-        self.n_trees = n_trees
 
+    @property
+    def n_trees(self) -> int:
+        return self.roots.shape[0]
 
-def _tree_conditions(tree: RegressionTree, tree_id: int):
-    """Number leaves left to right; yield (feature, threshold, false_mask)
-    per internal node, plus the leaf weight array."""
-    n_leaves = tree.n_leaves
-    if n_leaves > MAX_LEAVES:
-        raise ValueError(f"tree {tree_id} has {n_leaves} leaves; limit is {MAX_LEAVES}")
-    weights = np.zeros(MAX_LEAVES, dtype=np.float64)
-    conds = []
-    counter = [0]
-
-    def walk(i: int) -> tuple[int, int]:
-        if tree.feature[i] < 0:
-            leaf = counter[0]
-            counter[0] += 1
-            weights[leaf] = tree.value[i]
-            return leaf, leaf
-        lo_l, hi_l = walk(int(tree.left[i]))
-        lo_r, hi_r = walk(int(tree.right[i]))
-        left_bits = ((1 << (hi_l - lo_l + 1)) - 1) << lo_l
-        conds.append((int(tree.feature[i]), float(tree.threshold[i]),
-                      (_FULL ^ left_bits)))
-        return lo_l, hi_r
-
-    walk(0)
-    default = (1 << n_leaves) - 1
-    return conds, weights, default
+    @property
+    def conditions(self) -> dict[int, FeatureThresholds]:
+        """Sorted internal-node thresholds of the forest, per feature."""
+        internal = self.left != np.arange(self.left.shape[0])
+        feats = self.feature[internal]
+        thresholds = self.threshold[internal]
+        return {int(f): FeatureThresholds(np.sort(thresholds[feats == f]))
+                for f in np.unique(feats)}
 
 
 def compile_ensemble(ensemble: Ensemble) -> CompiledEnsemble:
-    """Flatten every tree into per-feature condition lists."""
-    per_feature: dict[int, list[tuple[float, int, int]]] = {}
-    n_trees = ensemble.n_trees
-    leaf_weights = np.zeros((max(n_trees, 1), MAX_LEAVES), dtype=np.float64)
-    default_bits = np.zeros(n_trees, dtype=np.uint64)
-    for t_id, tree in enumerate(ensemble.trees):
-        conds, weights, default = _tree_conditions(tree, t_id)
-        leaf_weights[t_id] = weights
-        default_bits[t_id] = np.uint64(default)
-        for f, thr, mask in conds:
-            per_feature.setdefault(f, []).append((thr, t_id, mask))
-    conditions = {}
-    for f, items in per_feature.items():
-        items.sort()
-        conditions[f] = _FeatureConditions(
-            np.array([it[0] for it in items], dtype=np.float64),
-            np.array([it[1] for it in items], dtype=np.int64),
-            np.array([it[2] for it in items], dtype=np.uint64),
-        )
-    return CompiledEnsemble(conditions, leaf_weights, default_bits,
-                            ensemble.learning_rate, ensemble.feature_count, n_trees)
+    """Concatenate every tree into one flat forest of self-looping leaves."""
+    trees = ensemble.trees
+    sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
+    roots = np.cumsum(sizes) - sizes
 
+    def flat(name: str, dtype) -> np.ndarray:
+        parts = [getattr(t, name) for t in trees]
+        return np.concatenate([np.zeros(0, dtype)] + parts).astype(dtype)
 
-def score_one(compiled: CompiledEnsemble, features) -> float:
-    """Score one vector; the scan over each condition list stops at the
-    first threshold >= value (value == threshold keeps the condition true)."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != compiled.feature_count:
-        raise ValueError(f"expected {compiled.feature_count} features, got {x.shape}")
-    if compiled.n_trees == 0:
-        return 0.0
-    bits = compiled.default_bits.copy()
-    for f, fc in compiled.conditions.items():
-        c = int(np.searchsorted(fc.thresholds, x[f], side="left"))
-        if c:
-            np.bitwise_and.at(bits, fc.tree_ids[:c], fc.masks[:c])
-    lr = compiled.learning_rate
-    s = 0.0
-    for t in range(compiled.n_trees):
-        v = int(bits[t])
-        leaf = (v & -v).bit_length() - 1
-        s += lr * compiled.leaf_weights[t, leaf]
-    return s
+    feature = flat("feature", np.int64)
+    leaf = feature < 0
+    own = np.arange(feature.shape[0])
+    base = np.repeat(roots, sizes)
+    left = np.where(leaf, own, flat("left", np.int64) + base)
+    right = np.where(leaf, own, flat("right", np.int64) + base)
+    depth, level = 0, roots
+    while True:
+        level = level[~leaf[level]]
+        if level.shape[0] == 0:
+            break
+        level = np.concatenate([left[level], right[level]])
+        depth += 1
+    threshold = np.where(leaf, np.inf, flat("threshold", np.float64))
+    return CompiledEnsemble(np.where(leaf, 0, feature), threshold, left, right,
+                            flat("value", np.float64), roots, depth,
+                            ensemble.learning_rate, ensemble.feature_count)
 
 
 def score_batch(compiled: CompiledEnsemble, matrix) -> np.ndarray:
-    """Elementwise score_one over rows, vectorized across documents."""
+    """Score every row of a 2-d feature matrix; equals Ensemble.score_batch."""
     X = np.asarray(matrix, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != compiled.feature_count:
         raise ValueError(f"expected 2-d input with {compiled.feature_count} columns")
     n = X.shape[0]
-    if compiled.n_trees == 0 or n == 0:
-        return np.zeros(n, dtype=np.float64)
-    bits = np.tile(compiled.default_bits, (n, 1))
-    for f, fc in compiled.conditions.items():
-        vals = X[:, f]
-        order = np.argsort(vals, kind="stable")
-        sorted_vals = vals[order]
-        starts = np.searchsorted(sorted_vals, fc.thresholds, side="right")
-        for j in range(fc.thresholds.shape[0]):
-            rows = order[starts[j]:]
-            if rows.shape[0]:
-                np.bitwise_and.at(bits[:, fc.tree_ids[j]], rows, fc.masks[j])
     scores = np.zeros(n, dtype=np.float64)
-    one = np.uint64(1)
+    if compiled.n_trees == 0 or n == 0:
+        return scores
+    flat = np.ascontiguousarray(X).ravel()
+    row_base = np.arange(n, dtype=np.int64)[:, None] * X.shape[1]
+    node = np.tile(compiled.roots, (n, 1))
+    for _ in range(compiled.depth):
+        go_left = flat[row_base + compiled.feature[node]] <= compiled.threshold[node]
+        node = np.where(go_left, compiled.left[node], compiled.right[node])
     lr = compiled.learning_rate
+    leaf_values = compiled.value[node]
     for t in range(compiled.n_trees):
-        col = bits[:, t]
-        lsb = col & (~col + one)
-        leaves = np.bitwise_count(lsb - one)
-        scores += lr * compiled.leaf_weights[t, leaves]
+        scores += lr * leaf_values[:, t]
     return scores

@@ -6,6 +6,8 @@ import pytest
 from blendrank.corpus import (Corpus, build_inverted_index, load_collection,
                               load_qrels, load_queries, load_inverted_index,
                               save_inverted_index, tokenize)
+from blendrank.features import DEFAULT_LEXICAL_NAMES, extract_lexical
+from blendrank.synthetic import make_synthetic
 
 
 class TestTokenize:
@@ -162,6 +164,23 @@ class TestInvertedIndex:
         assert loaded.doc_len.tolist() == idx.doc_len.tolist()
         assert loaded.positions("a", 0).tolist() == [0, 2]
         assert loaded.stemmed == idx.stemmed
+
+    def test_loaded_copy_has_bitwise_equal_norms(self, tmp_path):
+        data = make_synthetic(2000, 5, 16, 7)
+        idx = build_inverted_index(data.corpus)
+        path = tmp_path / "idx.crix"
+        save_inverted_index(idx, path)
+        loaded = load_inverted_index(path)
+        assert idx.tfidf_norm.tobytes() == loaded.tfidf_norm.tobytes()
+        cos = DEFAULT_LEXICAL_NAMES.index("lex_tfidf_cosine")
+        nonzero = 0
+        for text in data.queries.texts:
+            tokens = tokenize(text)
+            for doc in range(0, 2000, 7):
+                built = extract_lexical(idx, tokens, doc)
+                assert built.tobytes() == extract_lexical(loaded, tokens, doc).tobytes()
+                nonzero += built[cos] > 0
+        assert nonzero > 100
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -1,11 +1,15 @@
 """k-means and IVF search tests, checked against brute-force oracles."""
 
+import copy
+import re
+
 import numpy as np
 import pytest
 
 from blendrank.embeddings import EmbeddingMatrix
 from blendrank.ivf import (Centroids, build_ivf, exhaustive_search, load_ivf,
                            save_ivf, search, train_kmeans)
+from blendrank.synthetic import make_synthetic
 
 
 def linear_scan_oracle(rows, q, k, metric):
@@ -219,3 +223,72 @@ class TestSearch:
         b = search(loaded, q, 10, 3)
         np.testing.assert_array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.scores, b.scores)
+
+
+@pytest.fixture(scope="module")
+def synthetic_index():
+    vectors = make_synthetic(2000, 5, 16, 7).doc_embeddings
+    return build_ivf(vectors, train_kmeans(vectors, 45, 10, 7), "dot")
+
+
+def save_damaged(idx, path, offsets=None, ids=None):
+    damaged = copy.copy(idx)
+    damaged.offsets = idx.offsets if offsets is None else offsets
+    damaged.ids = idx.ids if ids is None else ids
+    save_ivf(damaged, path)
+    return path
+
+
+class TestDamagedFile:
+    """A damaged CRIV1 file fails with the path and the section named."""
+
+    # (section, first byte, byte count) for the 45-list, 16-d, 2,000-doc index.
+    SECTIONS = [("header", 5, 17), ("centroids", 22, 8 * 45 * 16),
+                ("offsets", 22 + 8 * 45 * 16, 8 * 46),
+                ("ids", 22 + 8 * 45 * 16 + 8 * 46, 8 * 2000),
+                ("vectors", 22 + 8 * 45 * 16 + 8 * 46 + 8 * 2000, 4 * 2000 * 16)]
+
+    def test_intact_file_loads(self, synthetic_index, tmp_path):
+        path = save_damaged(synthetic_index, tmp_path / "ok.criv")
+        assert path.stat().st_size == sum(n for _, _, n in self.SECTIONS) + 5
+        loaded = load_ivf(path)
+        np.testing.assert_array_equal(loaded.offsets, synthetic_index.offsets)
+        np.testing.assert_array_equal(loaded.ids, synthetic_index.ids)
+
+    def test_offset_moved_into_another_list(self, synthetic_index, tmp_path):
+        offsets = synthetic_index.offsets.copy()
+        offsets[5] = 1800
+        path = save_damaged(synthetic_index, tmp_path / "moved.criv", offsets=offsets)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: offsets section")):
+            load_ivf(path)
+
+    @pytest.mark.parametrize("where, value", [(0, 1), (-1, 1999), (-1, 2001)])
+    def test_offsets_must_run_from_zero_to_n_docs(self, synthetic_index, tmp_path,
+                                                  where, value):
+        offsets = synthetic_index.offsets.copy()
+        offsets[where] = value
+        path = save_damaged(synthetic_index, tmp_path / "ends.criv", offsets=offsets)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: offsets section")):
+            load_ivf(path)
+
+    @pytest.mark.parametrize("value", [None, -1, 2000])
+    def test_ids_must_be_a_permutation(self, synthetic_index, tmp_path, value):
+        ids = synthetic_index.ids.copy()
+        ids[0] = ids[1] if value is None else value
+        path = save_damaged(synthetic_index, tmp_path / "ids.criv", ids=ids)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ids section")):
+            load_ivf(path)
+
+    @pytest.mark.parametrize("section", [s[0] for s in SECTIONS])
+    def test_truncated_in_each_section(self, synthetic_index, tmp_path, section):
+        path = save_damaged(synthetic_index, tmp_path / "cut.criv")
+        start, size = next((a, n) for name, a, n in self.SECTIONS if name == section)
+        path.write_bytes(path.read_bytes()[:start + size // 2])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {section} ") + ".*truncated"):
+            load_ivf(path)
+
+    def test_trailing_bytes_rejected(self, synthetic_index, tmp_path):
+        path = save_damaged(synthetic_index, tmp_path / "long.criv")
+        path.write_bytes(path.read_bytes() + b"\0" * 4)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 4 bytes after the vectors section")):
+            load_ivf(path)

@@ -419,9 +419,6 @@ class TestCli:
         rc = cli_main(["diff-report", "--run-a", f"{out}/run.txt",
                        "--run-b", f"{out}/run.txt", "--qrels", f"{out}/qrels.txt"])
         assert rc == 0
-        rc = cli_main(["benchmark-scorer", "--model", f"{out}/model.json",
-                       "--docs", "500"])
-        assert rc == 0
         assert load_run(f"{out}/run.txt").entries
         assert (out / "sweep.csv").read_text().count("\n") == 1 + 2 * 2
 

@@ -1,10 +1,10 @@
-"""Compiled bitvector scorer tests: exact equivalence with naive traversal."""
+"""Flat forest scorer tests: exact equivalence with naive traversal."""
 
 import numpy as np
 import pytest
 
 from blendrank.ltr import Ensemble, RegressionTree
-from blendrank.scorer import compile_ensemble, score_batch, score_one
+from blendrank.scorer import compile_ensemble, score_batch
 
 
 def leaf_tree(weight: float) -> RegressionTree:
@@ -53,47 +53,70 @@ def random_ensemble(seed: int, n_trees: int, n_features: int, max_leaves: int) -
     return Ensemble(trees, 0.1, n_features)
 
 
+
+
+def score_row(comp, x) -> float:
+    return score_batch(comp, np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
 class TestCompile:
     def test_single_leaf_tree(self):
         ens = Ensemble([leaf_tree(2.5)], 0.5, 3)
         comp = compile_ensemble(ens)
         assert comp.conditions == {}
-        assert score_one(comp, np.zeros(3)) == 0.5 * 2.5
+        assert comp.depth == 0
+        assert score_row(comp, np.zeros(3)) == 0.5 * 2.5
 
     def test_single_split_masks(self):
         ens = Ensemble([stump(0, 1.0, -1.0, 3.0)], 1.0, 1)
         comp = compile_ensemble(ens)
-        assert score_one(comp, np.array([0.5])) == -1.0   # x <= t, left kept
-        assert score_one(comp, np.array([2.0])) == 3.0    # x > t, left masked
+        assert score_row(comp, [0.5]) == -1.0   # x <= t goes left
+        assert score_row(comp, [2.0]) == 3.0    # x > t goes right
 
     def test_value_equal_threshold_is_true_branch(self):
         ens = Ensemble([stump(0, 1.0, -1.0, 3.0)], 1.0, 1)
-        comp = compile_ensemble(ens)
-        assert score_one(comp, np.array([1.0])) == -1.0
+        assert score_row(compile_ensemble(ens), [1.0]) == -1.0
 
-    def test_too_many_leaves_rejected(self):
-        tree = random_tree(np.random.default_rng(0), 4, 65)
-        with pytest.raises(ValueError, match="65 leaves"):
-            compile_ensemble(Ensemble([tree], 0.1, 4))
+    def test_leaves_loop_to_themselves(self):
+        ens = Ensemble([stump(1, 0.0, -1.0, 3.0), leaf_tree(2.0)], 1.0, 2)
+        comp = compile_ensemble(ens)
+        np.testing.assert_array_equal(comp.roots, [0, 3])
+        np.testing.assert_array_equal(comp.left, [1, 1, 2, 3])
+        np.testing.assert_array_equal(comp.right, [2, 1, 2, 3])
+        np.testing.assert_array_equal(comp.threshold, [0.0, np.inf, np.inf, np.inf])
+        assert comp.depth == 1
+
+    def test_conditions_are_the_internal_nodes_per_feature(self):
+        ens = random_ensemble(18, n_trees=12, n_features=5, max_leaves=20)
+        conds = compile_ensemble(ens).conditions
+        assert sum(fc.thresholds.shape[0] for fc in conds.values()) == sum(
+            t.n_nodes - t.n_leaves for t in ens.trees)
+        for f, fc in conds.items():
+            want = np.concatenate([t.threshold[t.feature == f] for t in ens.trees])
+            np.testing.assert_array_equal(fc.thresholds, np.sort(want))
 
     def test_64_leaves_accepted(self):
         tree = random_tree(np.random.default_rng(1), 4, 64)
-        comp = compile_ensemble(Ensemble([tree], 0.1, 4))
+        ens = Ensemble([tree], 0.1, 4)
         x = np.random.default_rng(2).normal(size=4)
-        assert np.isfinite(score_one(comp, x))
+        assert score_row(compile_ensemble(ens), x) == ens.score_one(x)
+
+    def test_more_than_64_leaves_scores_exactly(self):
+        trees = [random_tree(np.random.default_rng(s), 4, 200) for s in range(3)]
+        ens = Ensemble(trees, 0.1, 4)
+        X = np.round(np.random.default_rng(2).normal(size=(500, 4)), 2)
+        assert np.array_equal(score_batch(compile_ensemble(ens), X), ens.score_batch(X))
 
 
 class TestEquivalence:
     def test_exit_leaf_decode_matches_traversal(self):
-        # compile/decode round trip on 1,000 random inputs, naive traversal
-        # as the oracle, exact equality required.
+        # Exit-leaf values on 1,000 random inputs, naive traversal as the
+        # oracle, exact equality required.
         ens = random_ensemble(3, n_trees=20, n_features=6, max_leaves=16)
         comp = compile_ensemble(ens)
         rng = np.random.default_rng(4)
         X = np.round(rng.normal(size=(1000, 6)), 2)
-        naive = ens.score_batch(X)
-        fast = score_batch(comp, X)
-        assert np.array_equal(naive, fast)
+        assert np.array_equal(ens.score_batch(X), score_batch(comp, X))
 
     def test_score_one_equals_naive_exactly(self):
         ens = random_ensemble(5, n_trees=10, n_features=4, max_leaves=8)
@@ -101,15 +124,13 @@ class TestEquivalence:
         rng = np.random.default_rng(6)
         for _ in range(200):
             x = np.round(rng.normal(size=4), 1)  # provoke threshold hits
-            assert score_one(comp, x) == ens.score_one(x)
+            assert score_row(comp, x) == ens.score_one(x)
 
     def test_batch_equals_mapped_score_one(self):
         ens = random_ensemble(7, n_trees=15, n_features=5, max_leaves=12)
-        comp = compile_ensemble(ens)
         X = np.random.default_rng(8).normal(size=(300, 5))
-        batch = score_batch(comp, X)
-        ones = np.array([score_one(comp, x) for x in X])
-        assert np.array_equal(batch, ones)
+        batch = score_batch(compile_ensemble(ens), X)
+        assert np.array_equal(batch, np.array([ens.score_one(x) for x in X]))
 
     def test_permuting_rows_permutes_scores(self):
         ens = random_ensemble(9, n_trees=8, n_features=3, max_leaves=6)
@@ -120,21 +141,33 @@ class TestEquivalence:
 
     def test_empty_ensemble_scores_zero(self):
         comp = compile_ensemble(Ensemble([], 0.1, 4))
-        assert score_one(comp, np.zeros(4)) == 0.0
+        assert comp.n_trees == 0 and comp.conditions == {}
         assert np.all(score_batch(comp, np.zeros((5, 4))) == 0.0)
 
     def test_batch_of_one_equals_score_one(self):
         ens = random_ensemble(12, 5, 4, 8)
-        comp = compile_ensemble(ens)
         x = np.random.default_rng(13).normal(size=4)
-        assert score_batch(comp, x[None, :])[0] == score_one(comp, x)
+        assert score_row(compile_ensemble(ens), x) == ens.score_one(x)
+
+    def test_zero_rows(self):
+        comp = compile_ensemble(random_ensemble(19, 4, 3, 6))
+        out = score_batch(comp, np.zeros((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.float64
+
+    def test_nan_feature_goes_right(self):
+        ens = Ensemble([stump(0, 1.0, -1.0, 3.0)], 1.0, 2)
+        assert score_row(compile_ensemble(ens), [np.nan, 0.0]) == 3.0
+        ens = random_ensemble(20, n_trees=10, n_features=4, max_leaves=16)
+        X = np.round(np.random.default_rng(21).normal(size=(400, 4)), 1)
+        X[np.random.default_rng(22).random(X.shape) < 0.2] = np.nan
+        assert np.array_equal(score_batch(compile_ensemble(ens), X), ens.score_batch(X))
 
 
 class TestValidation:
     def test_feature_length_mismatch(self):
         comp = compile_ensemble(random_ensemble(14, 3, 4, 4))
         with pytest.raises(ValueError):
-            score_one(comp, np.zeros(5))
+            score_batch(comp, np.zeros((2, 5)))
         with pytest.raises(ValueError):
             score_batch(comp, np.zeros((2, 3)))
 
@@ -142,15 +175,3 @@ class TestValidation:
         comp = compile_ensemble(random_ensemble(15, 3, 4, 4))
         with pytest.raises(ValueError):
             score_batch(comp, np.zeros(4))  # 1-d is not a batch
-
-    def test_bitvector_never_empty(self):
-        ens = random_ensemble(16, 10, 5, 32)
-        comp = compile_ensemble(ens)
-        X = np.random.default_rng(17).normal(size=(100, 5))
-        bits = np.tile(comp.default_bits, (100, 1))
-        for f, fc in comp.conditions.items():
-            vals = X[:, f]
-            for j in range(fc.thresholds.shape[0]):
-                rows = np.flatnonzero(vals > fc.thresholds[j])
-                np.bitwise_and.at(bits[:, fc.tree_ids[j]], rows, fc.masks[j])
-        assert np.all(bits != 0)
