@@ -79,6 +79,9 @@ class Corpus:
     def __post_init__(self):
         if not self.id_to_internal:
             self.id_to_internal = {d: i for i, d in enumerate(self.doc_ids)}
+        if len(self.id_to_internal) != len(self.doc_ids):
+            raise ValueError(f"doc ids are not unique: {len(self.doc_ids)} ids, "
+                             f"{len(self.id_to_internal)} distinct")
 
     def __len__(self) -> int:
         return len(self.doc_ids)

@@ -205,6 +205,8 @@ def search(index: IvfIndex, q: np.ndarray, k: int, nprobe: int) -> Ranking:
     q = np.asarray(q, dtype=np.float64)
     if q.shape[0] != index.centroids.dim:
         raise ValueError(f"dimension mismatch: query {q.shape[0]}, index {index.centroids.dim}")
+    if not np.isfinite(q).all():
+        raise ValueError("query vector has a non-finite entry")
     cent = index.centroids.vectors
     cent_norms = np.linalg.norm(cent, axis=1)
     cent_scores = _metric_scores(q, cent, cent_norms, index.metric)

@@ -357,7 +357,11 @@ class _TreeBuilder:
         pos = int(best_pos[f])
         node.best_gain = g
         node.best_feature = f
-        node.best_threshold = (vals[f, pos] + vals[f, pos + 1]) / 2.0
+        lo, hi = float(vals[f, pos]), float(vals[f, pos + 1])
+        threshold = (lo + hi) / 2.0
+        # The midpoint of adjacent doubles rounds to hi, and of huge ones
+        # overflows; lo keeps `x <= threshold` equal to the partition.
+        node.best_threshold = threshold if lo <= threshold < hi else lo
         node.best_pos = pos
 
     def _split(self, node: _PendingNode, serial_l: int, serial_r: int):

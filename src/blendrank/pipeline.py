@@ -178,8 +178,8 @@ class Pipeline:
             merged = ranking.ids
         final = merged[:cfg.k_final]
         n = final.shape[0]
-        entries = [(self.corpus.doc_ids[int(d)], float(n - i))
-                   for i, d in enumerate(final)]
+        entries = list(zip(map(self.corpus.doc_ids.__getitem__, final.tolist()),
+                           np.arange(n, 0, -1, dtype=np.float64).tolist()))
         t5 = time.perf_counter()
         lat = ((t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3,
                (t4 - t3) * 1e3, (t5 - t0) * 1e3)

@@ -47,6 +47,10 @@ class TestLoaders:
         with pytest.raises(ValueError, match="duplicate"):
             load_collection(p)
 
+    def test_corpus_duplicate_id(self):
+        with pytest.raises(ValueError, match="not unique"):
+            Corpus(["a", "a", "b"], ["x", "y", "z"])
+
     def test_collection_empty_file(self, tmp_path):
         p = tmp_path / "coll.tsv"
         p.write_text("")

@@ -211,6 +211,28 @@ class TestSearch:
         with pytest.raises(ValueError):
             search(idx, np.ones(3), 5, 5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        m = random_matrix(40, 4, 2)
+        idx = build_ivf(m, train_kmeans(m, 4, 5, 2))
+        q = np.ones(4)
+        q[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            search(idx, q, 5, idx.nlist)
+
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    def test_zero_query_returns_probed_ids_in_id_order(self, metric):
+        # Every centroid and document scores 0: the first nprobe lists are
+        # probed and their documents come back in internal-id order.
+        m = random_matrix(60, 4, 3)
+        idx = build_ivf(m, train_kmeans(m, 6, 5, 3), metric)
+        q = np.zeros(4)
+        np.testing.assert_array_equal(search(idx, q, 60, idx.nlist).ids, np.arange(60))
+        probed = np.sort(idx.ids[:idx.offsets[2]])
+        r = search(idx, q, 60, 2)
+        np.testing.assert_array_equal(r.ids, probed)
+        assert np.all(r.scores == 0.0)
+
     def test_persistence_round_trip(self, tmp_path):
         m = random_matrix(64, 6, 21)
         idx = build_ivf(m, train_kmeans(m, 7, 10, 21), "cosine")

@@ -241,6 +241,25 @@ class TestFitTree:
         assert tree.n_leaves == 1
         assert abs(tree.value[0] - 6.0 / (4.0 + EPS)) < 1e-12
 
+    def test_threshold_between_adjacent_doubles_agrees_with_partition(self):
+        # The midpoint of 1+2**-52 and 1+2**-51 rounds to the larger value,
+        # which would send the right-hand rows left as well.
+        lo, hi = 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51
+        X = np.array([lo] * 4 + [hi] * 4).reshape(-1, 1)
+        lam = np.array([1.0] * 4 + [-1.0] * 4)
+        tree = fit_tree(X, lam, np.ones(8), leaf_params(num_leaves=2))
+        assert tree.n_leaves == 2
+        assert lo <= tree.threshold[0] < hi
+        np.testing.assert_array_equal(np.sign(tree.predict_batch(X)), np.sign(lam))
+
+    def test_threshold_of_huge_values_is_finite(self):
+        lo, hi = 1.5e308, 1.7e308  # their sum overflows to inf
+        X = np.array([lo] * 3 + [hi] * 3).reshape(-1, 1)
+        lam = np.array([1.0] * 3 + [-1.0] * 3)
+        tree = fit_tree(X, lam, np.ones(6), leaf_params(num_leaves=2))
+        assert tree.threshold[0] == lo
+        np.testing.assert_array_equal(np.sign(tree.predict_batch(X)), np.sign(lam))
+
     def test_predict_batch_equals_predict_one(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(150, 4))

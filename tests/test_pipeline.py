@@ -127,6 +127,15 @@ class TestCascade:
                                        p.config.nprobe)[qid]
         assert [d for d, _ in entries] == [p.corpus.doc_ids[i] for i in ranking.ids]
 
+    def test_entries_are_doc_ids_with_descending_float_scores(self, world, trained):
+        data, _ = world
+        qid, text = _query(data, 44)
+        entries, _ = trained.run_query(qid, text)
+        n = len(entries)
+        assert [s for _, s in entries] == [float(n - i) for i in range(n)]
+        assert all(type(d) is str and type(s) is float for d, s in entries)
+        assert len({d for d, _ in entries}) == n
+
     def test_rerank_is_permutation_of_candidates(self, world, trained):
         data, _ = world
         qid, text = _query(data, 42)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from blendrank.ltr import Ensemble, RegressionTree
-from blendrank.scorer import compile_ensemble, score_batch
+from blendrank.scorer import compile_ensemble, exit_leaves, score_batch
 
 
 def leaf_tree(weight: float) -> RegressionTree:
@@ -53,6 +56,65 @@ def random_ensemble(seed: int, n_trees: int, n_features: int, max_leaves: int) -
     return Ensemble(trees, 0.1, n_features)
 
 
+def balanced_tree(rng, n_features: int, depth: int) -> RegressionTree:
+    """Complete binary tree in breadth-first order: every leaf at `depth`."""
+    n_internal = 2 ** depth - 1
+    n = 2 * n_internal + 1
+    internal = np.arange(n) < n_internal
+    return RegressionTree(
+        np.where(internal, rng.integers(n_features, size=n), -1),
+        np.where(internal, np.round(rng.normal(size=n), 1), 0.0),
+        np.where(internal, 2 * np.arange(n) + 1, -1),
+        np.where(internal, 2 * np.arange(n) + 2, -1),
+        np.round(rng.normal(size=n), 3), np.zeros(n))
+
+
+def walk(ens: Ensemble, X) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tree root-to-leaf walk: flat exit-leaf indices and leaf depths."""
+    X = np.asarray(X, dtype=np.float64)
+    leaves = np.zeros((X.shape[0], ens.n_trees), dtype=np.int64)
+    depths = np.zeros_like(leaves)
+    root = 0
+    for t, tree in enumerate(ens.trees):
+        for r, x in enumerate(X):
+            node = 0
+            while tree.feature[node] >= 0:
+                node = (tree.left[node] if x[tree.feature[node]] <= tree.threshold[node]
+                        else tree.right[node])
+                depths[r, t] += 1
+            leaves[r, t] = root + node
+        root += tree.n_nodes
+    return leaves, depths
+
+
+def switch_level(depths: np.ndarray) -> int:
+    """Levels stepped densely: the first level at which fewer than half of
+    the (row, tree) pairs are still at internal nodes."""
+    level = 0
+    while 2 * np.count_nonzero(depths > level) >= depths.size:
+        level += 1
+    return level
+
+
+def edge_rows(ens: Ensemble, rng, n_rows: int) -> np.ndarray:
+    """Rounded normals (threshold hits), then rows of exact thresholds, NaN
+    and +-inf in random cells."""
+    X = np.round(rng.normal(size=(n_rows, ens.feature_count)), 1)
+    thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in ens.trees])
+    X[: n_rows // 4] = rng.choice(thresholds, size=(n_rows // 4, ens.feature_count))
+    cells = rng.random(X.shape)
+    X[cells < 0.06] = np.nan
+    X[(cells >= 0.06) & (cells < 0.09)] = np.inf
+    X[(cells >= 0.09) & (cells < 0.12)] = -np.inf
+    return X
+
+
+def assert_exact(ens: Ensemble, X) -> np.ndarray:
+    comp = compile_ensemble(ens)
+    leaves, depths = walk(ens, X)
+    np.testing.assert_array_equal(exit_leaves(comp, X), leaves)
+    assert np.array_equal(score_batch(comp, X), ens.score_batch(X))
+    return depths
 
 
 def score_row(comp, x) -> float:
@@ -64,7 +126,7 @@ class TestCompile:
         ens = Ensemble([leaf_tree(2.5)], 0.5, 3)
         comp = compile_ensemble(ens)
         assert comp.conditions == {}
-        assert comp.depth == 0
+        np.testing.assert_array_equal(exit_leaves(comp, np.zeros((2, 3))), [[0], [0]])
         assert score_row(comp, np.zeros(3)) == 0.5 * 2.5
 
     def test_single_split_masks(self):
@@ -84,7 +146,8 @@ class TestCompile:
         np.testing.assert_array_equal(comp.left, [1, 1, 2, 3])
         np.testing.assert_array_equal(comp.right, [2, 1, 2, 3])
         np.testing.assert_array_equal(comp.threshold, [0.0, np.inf, np.inf, np.inf])
-        assert comp.depth == 1
+        np.testing.assert_array_equal(exit_leaves(comp, [[0.0, -1.0], [0.0, 1.0]]),
+                                      [[1, 3], [2, 3]])
 
     def test_conditions_are_the_internal_nodes_per_feature(self):
         ens = random_ensemble(18, n_trees=12, n_features=5, max_leaves=20)
@@ -161,6 +224,61 @@ class TestEquivalence:
         X = np.round(np.random.default_rng(21).normal(size=(400, 4)), 1)
         X[np.random.default_rng(22).random(X.shape) < 0.2] = np.nan
         assert np.array_equal(score_batch(compile_ensemble(ens), X), ens.score_batch(X))
+
+
+class TestTwoPhases:
+    """exit_leaves against a per-tree walk, and score_batch against
+    Ensemble.score_batch, wherever the dense-to-active switch falls."""
+
+    def test_balanced_trees_never_switch(self):
+        rng = np.random.default_rng(30)
+        ens = Ensemble([balanced_tree(rng, 5, 6) for _ in range(12)], 0.1, 5)
+        depths = assert_exact(ens, edge_rows(ens, rng, 120))
+        assert np.all(depths == 6)
+        assert switch_level(depths) == 6
+
+    def test_mostly_leaf_trees_switch_at_the_root(self):
+        rng = np.random.default_rng(35)
+        trees = [leaf_tree(float(w)) for w in rng.normal(size=7)]
+        trees += [balanced_tree(rng, 3, 2), random_tree(rng, 3, 30)]
+        ens = Ensemble(trees, 0.1, 3)
+        depths = assert_exact(ens, edge_rows(ens, rng, 100))
+        assert switch_level(depths) == 0
+
+    def test_stumps_and_leaves_switch_after_level_one(self):
+        rng = np.random.default_rng(31)
+        trees = ([leaf_tree(float(w)) for w in rng.normal(size=8)]
+                 + [stump(int(rng.integers(4)), float(np.round(rng.normal(), 1)), -1.0, 2.0)
+                    for _ in range(8)]
+                 + [balanced_tree(rng, 4, 9)])
+        ens = Ensemble(trees, 0.1, 4)
+        depths = assert_exact(ens, edge_rows(ens, rng, 150))
+        assert switch_level(depths) == 1
+        assert depths.max() == 9
+
+    def test_shallow_and_deep_mix_switches_mid_depth(self):
+        rng = np.random.default_rng(32)
+        trees = [balanced_tree(rng, 6, 3) for _ in range(6)]
+        trees += [random_tree(rng, 6, 48) for _ in range(4)]
+        ens = Ensemble(trees, 0.1, 6)
+        depths = assert_exact(ens, edge_rows(ens, rng, 150))
+        assert switch_level(depths) == 3 and depths.max() == 10
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_trees=st.integers(1, 10),
+           max_leaves=st.integers(1, 40), data=st.data())
+    def test_random_forests_and_matrices(self, seed, n_trees, max_leaves, data):
+        rng = np.random.default_rng(seed)
+        n_features = int(rng.integers(1, 5))
+        trees = [random_tree(rng, n_features, int(rng.integers(1, max_leaves + 1)))
+                 for _ in range(n_trees)]
+        ens = Ensemble(trees, 0.1, n_features)
+        thresholds = [float(v) for t in trees for v in t.threshold[t.feature >= 0]]
+        cell = st.one_of(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, *thresholds]),
+                         st.floats(-3, 3).map(lambda v: round(v, 2)))
+        X = data.draw(hnp.arrays(np.float64, st.tuples(st.integers(0, 30),
+                                                       st.just(n_features)), elements=cell))
+        assert_exact(ens, X)
 
 
 class TestValidation:
