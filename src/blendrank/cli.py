@@ -17,8 +17,8 @@ from .ltr import (TrainParams, feature_gains, load_dataset, load_model,
                   random_search_tune, save_dataset, save_model, train,
                   write_train_log)
 from .metrics import bonferroni, evaluate_run, load_run, paired_t_test, per_query_diff, write_run
-from .pipeline import (Pipeline, PipelineConfig, _build_blended_datasets,
-                       _masked_dataset, sweep, sweep_to_csv, train_pipeline)
+from .pipeline import (Pipeline, PipelineConfig, build_blended_datasets, sweep,
+                       sweep_to_csv, train_pipeline)
 from .synthetic import make_synthetic
 
 
@@ -97,12 +97,12 @@ def cmd_convert_embeddings(args) -> int:
     return 0
 
 
-def _load_pipeline(args, need_model: bool = False) -> Pipeline:
+def _load_pipeline(args, need_model: bool = False):
+    """(Pipeline, QuerySet of --queries or None) from flags and --config."""
     cfg = (PipelineConfig.from_file(args.config) if getattr(args, "config", None)
            else PipelineConfig())
     overrides = {key: getattr(args, key)
-                 for key in ("nprobe", "k_first", "rerank_cutoff", "k_final",
-                             "mask_variant", "seed")
+                 for key in ("nprobe", "k_first", "rerank_cutoff", "k_final", "seed")
                  if getattr(args, key, None) is not None}
     if overrides:
         cfg = dc_replace(cfg, **overrides)
@@ -125,18 +125,15 @@ def _load_pipeline(args, need_model: bool = False) -> Pipeline:
         model = load_model(mpath)
     elif need_model:
         raise SystemExit("this command requires --model")
-    pipe = Pipeline(cfg, coll, inv, emb, ivf_index, qvecs, model)
-    pipe._queries = queries
-    return pipe
+    return Pipeline(cfg, coll, inv, emb, ivf_index, qvecs, model), queries
 
 
 def cmd_search(args) -> int:
-    pipe = _load_pipeline(args)
-    queries = pipe._queries
+    pipe, queries = _load_pipeline(args)
     if queries is None:
         raise SystemExit("search requires --queries")
     qrels = corpus_io.load_qrels(args.qrels) if args.qrels else None
-    run, latency, report = pipe.run_batch(queries, qrels, threads=args.threads)
+    run, latency, report = pipe.run_batch(queries, qrels)
     write_run(run, args.out)
     agg = latency.aggregate()
     print(f"wrote {len(run.entries)} query results -> {args.out}")
@@ -180,14 +177,14 @@ def _attach_split_embeddings(pipe, queries_and_paths) -> None:
 
 
 def cmd_build_train(args) -> int:
-    pipe = _load_pipeline(args)
+    pipe, _ = _load_pipeline(args)
     train_queries = corpus_io.load_queries(args.train_queries)
     valid_queries = corpus_io.load_queries(args.valid_queries)
     qrels = corpus_io.load_qrels(args.qrels)
     _attach_split_embeddings(pipe, ((train_queries, args.train_query_embeddings),
                                     (valid_queries, args.valid_query_embeddings)))
-    full_train, full_valid = _build_blended_datasets(
-        pipe, train_queries, valid_queries, qrels, args.n_neg, args.seed or 0, None)
+    full_train, full_valid = build_blended_datasets(
+        pipe, train_queries, valid_queries, qrels, args.n_neg, args.seed or 0)
     dim = pipe.extractor.registry.dim
     save_dataset(full_train, args.train_out, dim)
     save_dataset(full_valid, args.valid_out, dim)
@@ -218,8 +215,8 @@ def cmd_train(args) -> int:
         if dim is None:
             raise SystemExit("dataset file carries no registry dimension")
         mask = make_mask(build_registry(dim), variant)
-        train_ds = _masked_dataset(train_full, mask.included)
-        valid_ds = _masked_dataset(valid_full, mask.included)
+        train_ds = train_full.select_columns(mask.included)
+        valid_ds = valid_full.select_columns(mask.included)
         if args.trials > 0:
             params = random_search_tune(train_ds, valid_ds, args.trials,
                                         args.seed or 0, base=params, **tune_kw)
@@ -229,7 +226,7 @@ def cmd_train(args) -> int:
         if not (args.train_queries and args.valid_queries and args.qrels):
             raise SystemExit("train requires --train-queries, --valid-queries and "
                              "--qrels (or --train-data/--valid-data)")
-        pipe = _load_pipeline(args)
+        pipe, _ = _load_pipeline(args)
         train_queries = corpus_io.load_queries(args.train_queries)
         valid_queries = corpus_io.load_queries(args.valid_queries)
         qrels = corpus_io.load_qrels(args.qrels)
@@ -249,8 +246,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    pipe = _load_pipeline(args, need_model=False)
-    queries = pipe._queries
+    pipe, queries = _load_pipeline(args, need_model=False)
     if queries is None:
         raise SystemExit("sweep requires --queries")
     qrels = corpus_io.load_qrels(args.qrels)
@@ -364,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_runtime_args(p)
     p.add_argument("--qrels", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="parallel queries (latency figures stay per-query wall time)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("evaluate", help="score a run file against qrels")

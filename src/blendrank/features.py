@@ -1,10 +1,14 @@
 """Per-(query, candidate) feature extraction and the blended feature layout.
 
-The blended vector concatenates, in this fixed order: the dense query
-vector (D values), the dense document vector (D), their elementwise delta
-q - d (D), the cosine similarity between the two, the candidate's rank
-under cosine ordering, and the lexical feature catalog (L values). Total
-length is 3D + 2 + L.
+`FeatureExtractor.feature_matrix` is the one feature representation: a
+(candidates x features) float64 matrix whose columns follow the registry.
+A model variant selects its columns with `make_mask(...).included`.
+
+Each row concatenates, in this fixed order: the dense query vector (D
+values), the dense document vector (D), their elementwise delta q - d (D),
+the cosine similarity between the two, the candidate's rank under cosine
+ordering, and the lexical feature catalog (L values). Total length is
+3D + 2 + L.
 
 The lexical catalog covers term-level statistics aggregated over query
 terms, whole-match scores (BM25, Dirichlet language model), and positional
@@ -23,7 +27,6 @@ import numpy as np
 
 from .corpus import InvertedIndex, tokenize
 from .embeddings import EmbeddingMatrix
-from .ivf import Ranking
 
 BM25_K1 = 0.9
 BM25_B = 0.4
@@ -126,24 +129,11 @@ class FeatureRegistry:
                            "entries": entries}, indent=1)
 
 
-def build_registry(dim: int, lexical_count: int | None = None) -> FeatureRegistry:
-    """Registry for dimension D; lexical_count overrides the catalog size
-    with generically named slots (used to reason about other layouts)."""
+def build_registry(dim: int) -> FeatureRegistry:
+    """Registry for dimension D over the lexical catalog."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if lexical_count is None or lexical_count == LEXICAL_COUNT:
-        names = tuple(DEFAULT_LEXICAL_NAMES)
-    else:
-        names = tuple(f"lex_{i:03d}" for i in range(lexical_count))
-    return FeatureRegistry(dim, names)
-
-
-@dataclass
-class BlendedVector:
-    """One feature vector bound to its registry by hash."""
-
-    values: np.ndarray
-    registry_hash: str
+    return FeatureRegistry(dim, tuple(DEFAULT_LEXICAL_NAMES))
 
 
 @dataclass
@@ -167,35 +157,6 @@ def make_mask(registry: FeatureRegistry, variant: str) -> FeatureMask:
     else:
         raise ValueError(f"unknown mask variant {variant!r}")
     return FeatureMask(variant, np.sort(ids).astype(np.int64), registry.registry_hash)
-
-
-def apply_mask(vec: BlendedVector, mask: FeatureMask) -> np.ndarray:
-    if vec.registry_hash != mask.registry_hash:
-        raise ValueError("registry hash mismatch between vector and mask")
-    return vec.values[mask.included]
-
-
-def blend(q_vec, d_vec, cos: float, rank: int, lexical,
-          registry: FeatureRegistry) -> BlendedVector:
-    """Assemble one blended vector in registry order (delta is q - d)."""
-    q = np.asarray(q_vec, dtype=np.float64)
-    d = np.asarray(d_vec, dtype=np.float64)
-    lex = np.asarray(lexical, dtype=np.float64)
-    if q.shape != (registry.dim,) or d.shape != (registry.dim,):
-        raise ValueError(f"dense vectors must have dimension {registry.dim}")
-    if lex.shape != (registry.lexical_count,):
-        raise ValueError(f"lexical block must have length {registry.lexical_count}")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    values = np.empty(registry.total, dtype=np.float64)
-    dd = registry.dim
-    values[:dd] = q
-    values[dd:2 * dd] = d
-    values[2 * dd:3 * dd] = q - d
-    values[3 * dd] = cos
-    values[3 * dd + 1] = float(rank)
-    values[3 * dd + 2:] = lex
-    return BlendedVector(values, registry.registry_hash)
 
 
 class _QueryContext:
@@ -258,81 +219,6 @@ def _min_pair_distance(a: np.ndarray, b: np.ndarray) -> int:
     return best
 
 
-def extract_lexical(index: InvertedIndex, query_tokens: list[str],
-                    internal_id: int) -> np.ndarray:
-    """Compute the lexical catalog for one (query, document) pair."""
-    ctx = _QueryContext(index, query_tokens)
-    return _lexical_features(index, ctx, internal_id)
-
-
-def _lexical_features(index: InvertedIndex, ctx: _QueryContext,
-                      internal_id: int) -> np.ndarray:
-    """Reference per-document implementation; the batch path must agree
-    with it bitwise (tested)."""
-    out = np.zeros(LEXICAL_COUNT, dtype=np.float64)
-    dl = int(index.doc_len[internal_id])
-    avgdl = index.avg_doc_len
-    total_tokens = index.total_tokens
-    norm_len = 1.0 - BM25_B + BM25_B * (dl / avgdl) if avgdl > 0 else 1.0
-
-    n_terms = len(ctx.terms)
-    tfs, tf_norms, idfs, tfidfs, bm25s, lms = [], [], [], [], [], []
-    matched_positions = []
-    tfidf_dot = 0.0
-    for t_i in range(n_terms):
-        posting = ctx.postings[t_i]
-        tf = 0
-        positions = None
-        if posting is not None:
-            ids, pfs, pos = posting
-            k = int(np.searchsorted(ids, internal_id))
-            if k < ids.shape[0] and ids[k] == internal_id:
-                tf = int(pfs[k])
-                positions = pos[k]
-        idf = ctx.idf[t_i]
-        cf = ctx.cf[t_i]
-        tf_f = float(tf)
-        tfs.append(tf_f)
-        tf_norms.append(tf_f / dl if dl else 0.0)
-        idfs.append(idf)
-        tfidfs.append(tf_f * idf)
-        bm25s.append(idf * tf_f / (tf_f + BM25_K1 * norm_len) if tf else 0.0)
-        lms.append(float(np.log((tf_f + LM_MU * cf / total_tokens) / (dl + LM_MU)))
-                   if cf > 0 else 0.0)
-        if tf:
-            matched_positions.append((t_i, positions))
-            tfidf_dot += ctx.query_weights[t_i] * (tf_f * idf)
-
-    k = 0
-    for stat in (tfs, tf_norms, idfs, tfidfs, bm25s, lms):
-        if n_terms:
-            total = 0.0
-            for v in stat:
-                total += v
-            out[k] = total
-            out[k + 1] = min(stat)
-            out[k + 2] = max(stat)
-            out[k + 3] = total / n_terms
-        k += 4
-
-    matched = len(matched_positions)
-    out[24] = out[16]
-    out[25] = out[20]
-    out[26] = float(len(ctx.tokens))
-    out[27] = float(dl)
-    out[28] = float(matched)
-    out[29] = matched / n_terms if n_terms else 0.0
-    out[30] = float(index.unique_terms[internal_id])
-    doc_norm = float(index.tfidf_norm[internal_id])
-    if ctx.query_norm > 0 and doc_norm > 0:
-        out[31] = tfidf_dot / (ctx.query_norm * doc_norm)
-
-    out[32], out[33], out[35] = _proximity_triple(
-        [p for _, p in matched_positions], dl)
-    out[34] = _bigram_hits(index, ctx, internal_id)
-    return out
-
-
 def _proximity_triple(plists: list[np.ndarray], dl: int):
     """(min cover window, mean min pair distance, pairs within the window)."""
     matched = len(plists)
@@ -365,8 +251,9 @@ def _lexical_features_batch(index: InvertedIndex, ctx: _QueryContext,
     """Vectorized catalog for many documents of one query.
 
     Term statistics and whole-match scores are computed as (terms x docs)
-    arrays with the same elementwise operations as the reference path
-    (term-order accumulation keeps the sums bitwise identical); only the
+    arrays with the same elementwise operations as the per-document oracle
+    in tests/lexical_oracle.py (term-order accumulation keeps the sums
+    bitwise identical); only the
     positional features fall back to the per-document helpers, and only
     for documents with at least two matched terms or a matched bigram.
     """
@@ -453,15 +340,10 @@ def _lexical_features_batch(index: InvertedIndex, ctx: _QueryContext,
 class FeatureExtractor:
     """Bundles the lexical index, embeddings, and registry for extraction."""
 
-    def __init__(self, index: InvertedIndex, embeddings: EmbeddingMatrix,
-                 registry: FeatureRegistry | None = None):
+    def __init__(self, index: InvertedIndex, embeddings: EmbeddingMatrix):
         self.index = index
         self.embeddings = embeddings
-        self.registry = registry or build_registry(embeddings.dim)
-        if self.registry.dim != embeddings.dim:
-            raise ValueError("registry dimension does not match embeddings")
-        if self.registry.lexical_count != LEXICAL_COUNT:
-            raise ValueError("registry lexical block does not match the catalog")
+        self.registry = build_registry(embeddings.dim)
 
     def tokenize_query(self, text: str) -> list[str]:
         return tokenize(text, stem=self.index.stemmed)
@@ -505,26 +387,3 @@ class FeatureExtractor:
         out[:, 3 * d + 1] = ranks[needed].astype(np.float64)
         out[:, 3 * d + 2:] = _lexical_features_batch(self.index, ctx, sel)
         return out
-
-    def candidate_features(self, query_tokens: list[str], q_vec: np.ndarray,
-                           ranking: Ranking) -> list[BlendedVector]:
-        """One blended vector per candidate, in first-stage order."""
-        matrix = self.feature_matrix(query_tokens, q_vec, ranking.ids)
-        h = self.registry.registry_hash
-        return [BlendedVector(matrix[i], h) for i in range(matrix.shape[0])]
-
-
-def write_features_tsv(matrix: np.ndarray, registry: FeatureRegistry, path,
-                       row_ids=None) -> None:
-    """Dump a feature matrix with named columns (debugging aid)."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    if matrix.shape[1] != registry.total:
-        raise ValueError(f"matrix width {matrix.shape[1]} does not match "
-                         f"registry total {registry.total}")
-    names = [registry.name(i) for i in range(registry.total)]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("row\t" + "\t".join(names) + "\n")
-        for r in range(matrix.shape[0]):
-            rid = row_ids[r] if row_ids is not None else r
-            f.write(str(rid) + "\t"
-                    + "\t".join(repr(float(v)) for v in matrix[r]) + "\n")

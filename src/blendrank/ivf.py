@@ -229,6 +229,8 @@ def exhaustive_search(vectors: EmbeddingMatrix, q: np.ndarray, k: int,
     q = np.asarray(q, dtype=np.float64)
     if q.shape[0] != vectors.dim:
         raise ValueError(f"dimension mismatch: query {q.shape[0]}, matrix {vectors.dim}")
+    if not np.isfinite(q).all():
+        raise ValueError("query vector has a non-finite entry")
     scores = _metric_scores(q, vectors.rows, vectors.norms, metric)
     return _top_k(np.arange(vectors.n_rows, dtype=np.int64), scores, k)
 

@@ -108,6 +108,11 @@ class LtrDataset:
         np.cumsum(sizes, out=offsets[1:])
         return X, labels, doc_ids, offsets
 
+    def select_columns(self, columns) -> "LtrDataset":
+        """The same groups restricted to the given feature columns, in order."""
+        return LtrDataset([LtrGroup(g.query_id, g.features[:, columns], g.labels, g.doc_ids)
+                           for g in self.groups])
+
 
 def build_training_set(queries: QuerySet, qrels: Qrels,
                        rankings: dict[str, Ranking], corpus: Corpus,

@@ -21,7 +21,7 @@ from .corpus import Corpus, InvertedIndex, Qrels, QuerySet
 from .embeddings import EmbeddingMatrix, toy_encode
 from .features import FeatureExtractor, make_mask
 from .ivf import IvfIndex, Ranking, search
-from .ltr import (Ensemble, LtrDataset, LtrGroup, TrainParams,
+from .ltr import (Ensemble, LtrDataset, TrainParams,
                   build_training_set, random_search_tune, train)
 from .metrics import MetricReport, RunList, evaluate_run
 from .scorer import CompiledEnsemble, compile_ensemble, score_batch
@@ -35,13 +35,10 @@ class PipelineConfig:
     k_first: int = 1000
     rerank_cutoff: int = 1000
     nprobe: int = 1
-    metric: str = "dot"
-    mask_variant: str = "full"
     k_final: int = 1000
     seed: int = 0
     collection: str = ""
     queries: str = ""
-    qrels: str = ""
     doc_embeddings: str = ""
     query_embeddings: str = ""
     lexical_index: str = ""
@@ -185,25 +182,12 @@ class Pipeline:
                (t4 - t3) * 1e3, (t5 - t0) * 1e3)
         return entries, lat
 
-    def run_batch(self, queries: QuerySet, qrels: Qrels | None = None,
-                  threads: int = 1):
-        """Run every query; returns (RunList, LatencyBreakdown, MetricReport or None).
-
-        threads > 1 parallelizes across queries for throughput experiments;
-        results keep query order and per-query latencies remain wall time
-        (so they include contention and are only meaningful at threads=1).
-        """
+    def run_batch(self, queries: QuerySet, qrels: Qrels | None = None):
+        """Run every query; returns (RunList, LatencyBreakdown, MetricReport or None)."""
         run = RunList(self.run_tag)
         latency = LatencyBreakdown()
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda qt: self.run_query(*qt),
-                                        zip(queries.query_ids, queries.texts)))
-        else:
-            results = [self.run_query(qid, text)
-                       for qid, text in zip(queries.query_ids, queries.texts)]
-        for qid, (entries, lat) in zip(queries.query_ids, results):
+        for qid, text in zip(queries.query_ids, queries.texts):
+            entries, lat = self.run_query(qid, text)
             run.add(qid, entries)
             latency.record(*lat)
         report = evaluate_run(run, qrels) if qrels is not None else None
@@ -259,15 +243,17 @@ def first_stage_rankings(pipeline: Pipeline, queries: QuerySet, k: int,
     return out
 
 
-def _build_blended_datasets(pipeline: Pipeline, train_queries: QuerySet,
-                            valid_queries: QuerySet, qrels: Qrels, n_neg: int,
-                            seed: int, train_nprobe: int | None):
+def build_blended_datasets(pipeline: Pipeline, train_queries: QuerySet,
+                           valid_queries: QuerySet, qrels: Qrels, n_neg: int,
+                           seed: int) -> tuple[LtrDataset, LtrDataset]:
+    """Unmasked training and validation sets; candidates come from the
+    exact first stage (every IVF list probed)."""
     overlap = set(train_queries.query_ids) & set(valid_queries.query_ids)
     if overlap:
         raise ValueError(f"train and validation query ids overlap: {sorted(overlap)[:5]}")
     k = pipeline.config.k_first
-    rankings = first_stage_rankings(pipeline, train_queries, k, train_nprobe)
-    rankings.update(first_stage_rankings(pipeline, valid_queries, k, train_nprobe))
+    rankings = first_stage_rankings(pipeline, train_queries, k)
+    rankings.update(first_stage_rankings(pipeline, valid_queries, k))
     qvecs = {qid: pipeline.encode_query(qid, text)
              for qid, text in zip(train_queries.query_ids + valid_queries.query_ids,
                                   train_queries.texts + valid_queries.texts)}
@@ -283,19 +269,18 @@ def train_variants(pipeline: Pipeline, train_queries: QuerySet,
                    variants=("full", "lexical", "dense"),
                    params: TrainParams | None = None, n_neg: int = 30,
                    tune_trials: int = 0, seed: int = 0,
-                   train_nprobe: int | None = None,
                    tune_ranges: dict | None = None) -> dict[str, Ensemble]:
     """Train one model per feature-mask variant over a shared candidate and
     feature construction, so the variants differ only in mask and trees."""
     params = params or TrainParams()
     registry = pipeline.extractor.registry
-    full_train, full_valid = _build_blended_datasets(
-        pipeline, train_queries, valid_queries, qrels, n_neg, seed, train_nprobe)
+    full_train, full_valid = build_blended_datasets(
+        pipeline, train_queries, valid_queries, qrels, n_neg, seed)
     out = {}
     for variant in variants:
         mask = make_mask(registry, variant)
-        train_ds = _masked_dataset(full_train, mask.included)
-        valid_ds = _masked_dataset(full_valid, mask.included)
+        train_ds = full_train.select_columns(mask.included)
+        valid_ds = full_valid.select_columns(mask.included)
         chosen = params
         if tune_trials > 0:
             chosen = random_search_tune(train_ds, valid_ds, tune_trials, seed,
@@ -311,16 +296,10 @@ def train_pipeline(pipeline: Pipeline, train_queries: QuerySet,
                    valid_queries: QuerySet, qrels: Qrels,
                    params: TrainParams | None = None, mask_variant: str = "full",
                    n_neg: int = 30, tune_trials: int = 0, seed: int = 0,
-                   train_nprobe: int | None = None,
                    tune_ranges: dict | None = None) -> Ensemble:
     """Build the training/validation datasets from first-stage candidates
     and fit a model for the given feature mask variant."""
     return train_variants(pipeline, train_queries, valid_queries, qrels,
                           (mask_variant,), params, n_neg, tune_trials, seed,
-                          train_nprobe, tune_ranges)[mask_variant]
+                          tune_ranges)[mask_variant]
 
-
-def _masked_dataset(dataset: LtrDataset, included) -> LtrDataset:
-    groups = [LtrGroup(g.query_id, g.features[:, included], g.labels, g.doc_ids)
-              for g in dataset.groups]
-    return LtrDataset(groups)

@@ -1,0 +1,86 @@
+"""Per-document lexical feature oracle.
+
+A plain loop over one (query, document) pair at a time. The vectorized
+`features._lexical_features_batch` that serving uses must agree with it
+bit for bit; the tests compare the two. Not a test module itself.
+"""
+
+import numpy as np
+
+from blendrank.corpus import InvertedIndex
+from blendrank.features import (BM25_B, BM25_K1, LEXICAL_COUNT, LM_MU,
+                                _bigram_hits, _proximity_triple, _QueryContext)
+
+
+def extract_lexical(index: InvertedIndex, query_tokens: list[str],
+                    internal_id: int) -> np.ndarray:
+    """Compute the lexical catalog for one (query, document) pair."""
+    ctx = _QueryContext(index, query_tokens)
+    return lexical_features(index, ctx, internal_id)
+
+
+def lexical_features(index: InvertedIndex, ctx: _QueryContext,
+                     internal_id: int) -> np.ndarray:
+    """The catalog for one document under a prepared query context."""
+    out = np.zeros(LEXICAL_COUNT, dtype=np.float64)
+    dl = int(index.doc_len[internal_id])
+    avgdl = index.avg_doc_len
+    total_tokens = index.total_tokens
+    norm_len = 1.0 - BM25_B + BM25_B * (dl / avgdl) if avgdl > 0 else 1.0
+
+    n_terms = len(ctx.terms)
+    tfs, tf_norms, idfs, tfidfs, bm25s, lms = [], [], [], [], [], []
+    matched_positions = []
+    tfidf_dot = 0.0
+    for t_i in range(n_terms):
+        posting = ctx.postings[t_i]
+        tf = 0
+        positions = None
+        if posting is not None:
+            ids, pfs, pos = posting
+            k = int(np.searchsorted(ids, internal_id))
+            if k < ids.shape[0] and ids[k] == internal_id:
+                tf = int(pfs[k])
+                positions = pos[k]
+        idf = ctx.idf[t_i]
+        cf = ctx.cf[t_i]
+        tf_f = float(tf)
+        tfs.append(tf_f)
+        tf_norms.append(tf_f / dl if dl else 0.0)
+        idfs.append(idf)
+        tfidfs.append(tf_f * idf)
+        bm25s.append(idf * tf_f / (tf_f + BM25_K1 * norm_len) if tf else 0.0)
+        lms.append(float(np.log((tf_f + LM_MU * cf / total_tokens) / (dl + LM_MU)))
+                   if cf > 0 else 0.0)
+        if tf:
+            matched_positions.append((t_i, positions))
+            tfidf_dot += ctx.query_weights[t_i] * (tf_f * idf)
+
+    k = 0
+    for stat in (tfs, tf_norms, idfs, tfidfs, bm25s, lms):
+        if n_terms:
+            total = 0.0
+            for v in stat:
+                total += v
+            out[k] = total
+            out[k + 1] = min(stat)
+            out[k + 2] = max(stat)
+            out[k + 3] = total / n_terms
+        k += 4
+
+    matched = len(matched_positions)
+    out[24] = out[16]
+    out[25] = out[20]
+    out[26] = float(len(ctx.tokens))
+    out[27] = float(dl)
+    out[28] = float(matched)
+    out[29] = matched / n_terms if n_terms else 0.0
+    out[30] = float(index.unique_terms[internal_id])
+    doc_norm = float(index.tfidf_norm[internal_id])
+    if ctx.query_norm > 0 and doc_norm > 0:
+        out[31] = tfidf_dot / (ctx.query_norm * doc_norm)
+
+    out[32], out[33], out[35] = _proximity_triple(
+        [p for _, p in matched_positions], dl)
+    out[34] = _bigram_hits(index, ctx, internal_id)
+    return out

@@ -6,8 +6,9 @@ import pytest
 from blendrank.corpus import (Corpus, build_inverted_index, load_collection,
                               load_qrels, load_queries, load_inverted_index,
                               save_inverted_index, tokenize)
-from blendrank.features import DEFAULT_LEXICAL_NAMES, extract_lexical
+from blendrank.features import DEFAULT_LEXICAL_NAMES
 from blendrank.synthetic import make_synthetic
+from lexical_oracle import extract_lexical
 
 
 class TestTokenize:

@@ -1,16 +1,17 @@
-"""Lexical feature catalog and blended vector layout tests."""
+"""Lexical feature catalog and blended feature-matrix layout tests."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blendrank.corpus import Corpus, build_inverted_index, tokenize
 from blendrank.embeddings import EmbeddingMatrix
-from blendrank.features import (BlendedVector, FeatureExtractor, apply_mask,
-                                blend, build_registry, extract_lexical,
+from blendrank.features import (FeatureExtractor, _QueryContext, _lexical_features_batch, FeatureRegistry, build_registry,
                                 make_mask, DEFAULT_LEXICAL_NAMES, LEXICAL_COUNT)
-from blendrank.ivf import Ranking
+from lexical_oracle import extract_lexical
 
 IDX = {name: i for i, name in enumerate(DEFAULT_LEXICAL_NAMES)}
 
@@ -107,7 +108,6 @@ class TestLexicalCatalog:
     def test_batch_path_matches_per_document_path(self):
         # The vectorized extractor must reproduce the reference
         # per-document implementation exactly.
-        from blendrank.features import _QueryContext, _lexical_features_batch
         rng = np.random.default_rng(21)
         vocab = [f"w{i}" for i in range(15)]
         texts = [" ".join(rng.choice(vocab, size=rng.integers(0, 25)))
@@ -125,29 +125,106 @@ class TestLexicalCatalog:
                                               err_msg=f"trial {trial} doc {doc}")
 
 
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data(), vocab_size=st.integers(1, 8), n_docs=st.integers(1, 12))
+    def test_batch_path_matches_per_document_path_property(self, data, vocab_size, n_docs):
+        vocab = [f"w{i}" for i in range(vocab_size)]
+        word = st.sampled_from(vocab)
+        texts = [" ".join(data.draw(st.lists(word, max_size=20))) for _ in range(n_docs)]
+        idx = build_inverted_index(Corpus([f"d{i}" for i in range(n_docs)], texts))
+        tokens = data.draw(st.lists(st.sampled_from(vocab + ["zz", "yy"]), max_size=6))
+        doc_ids = np.array(data.draw(st.lists(st.integers(0, n_docs - 1), min_size=1,
+                                              max_size=n_docs, unique=True)), dtype=np.int64)
+        batch = _lexical_features_batch(idx, _QueryContext(idx, tokens), doc_ids)
+        for r, doc in enumerate(doc_ids):
+            np.testing.assert_array_equal(batch[r], extract_lexical(idx, tokens, int(doc)))
+
+
+def lexical_block(extractor, tokens):
+    """The lexical columns of feature_matrix for every document."""
+    reg = extractor.registry
+    ids = np.arange(extractor.index.n_docs)
+    q = np.ones(reg.dim)
+    return extractor.feature_matrix(tokens, q, ids)[:, 3 * reg.dim + 2:]
+
+
+class TestQueryEdges:
+    @pytest.fixture
+    def extractor(self):
+        corpus = Corpus(["d0", "d1", "d2"], ["a b a", "b c", ""])
+        rows = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.float32)
+        return FeatureExtractor(build_inverted_index(corpus), EmbeddingMatrix(rows))
+
+    @staticmethod
+    def unmatched_block(idx, doc, query_len):
+        """Catalog of a document that matches no query term, idf columns aside."""
+        dl = float(idx.doc_len[doc])
+        want = np.zeros(LEXICAL_COUNT)
+        want[IDX["lex_query_len"]] = query_len
+        want[IDX["lex_doc_len"]] = dl
+        want[IDX["lex_doc_unique_terms"]] = float(idx.unique_terms[doc])
+        want[IDX["lex_min_window"]] = dl + 1
+        want[IDX["lex_mean_min_pair_dist"]] = dl
+        return want
+
+    def test_all_oov_query(self, extractor):
+        idx = extractor.index
+        lex = lexical_block(extractor, ["zz", "yy", "zz"])
+        # An unseen term has df 0, so idf = ln((N + 0.5) / 0.5 + 1).
+        idf = float(np.log((idx.n_docs + 0.5) / 0.5 + 1.0))
+        for doc in range(idx.n_docs):
+            want = self.unmatched_block(idx, doc, 3.0)
+            for agg, v in (("sum", 2 * idf), ("min", idf), ("max", idf), ("mean", idf)):
+                want[IDX[f"lex_idf_{agg}"]] = v
+            np.testing.assert_array_equal(lex[doc], want, err_msg=f"doc {doc}")
+
+    def test_empty_query(self, extractor):
+        idx = extractor.index
+        lex = lexical_block(extractor, [])
+        for doc in range(idx.n_docs):
+            np.testing.assert_array_equal(lex[doc], self.unmatched_block(idx, doc, 0.0),
+                                          err_msg=f"doc {doc}")
+
+
+def layout_extractor():
+    """D = 2; for the query (1, 0), cosine ranks d0, d1, d2 as 1, 2, 3."""
+    corpus = Corpus(["d0", "d1", "d2"], ["a b", "a c", "b b"])
+    rows = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.float32)
+    return FeatureExtractor(build_inverted_index(corpus), EmbeddingMatrix(rows))
+
+
+Q_LAYOUT = np.array([1.0, 0.0])
+
+
 class TestRegistryAndBlend:
     def test_layout_worked_example(self):
-        # D=2, L=1: (q, d, q-d, cos, rank, lex)
-        reg = build_registry(2, lexical_count=1)
-        v = blend([1, 0], [0, 1], 0.0, 3, [5], reg)
-        np.testing.assert_array_equal(v.values, [1, 0, 0, 1, 1, -1, 0, 3, 5])
+        # D = 2: (q, d, q - d, cos, rank, lexical catalog); d2 = (0, 1).
+        ex = layout_extractor()
+        m = ex.feature_matrix(["b"], Q_LAYOUT, np.array([0, 1, 2]))
+        assert m.shape == (3, ex.registry.total)
+        np.testing.assert_array_equal(m[2, :8], [1, 0, 0, 1, 1, -1, 0, 3])
+        np.testing.assert_array_equal(m[2, 8:], extract_lexical(ex.index, ["b"], 2))
 
     def test_equal_vectors_zero_delta(self):
-        reg = build_registry(3, lexical_count=2)
-        v = blend([1, 2, 3], [1, 2, 3], 1.0, 1, [0, 0], reg)
-        np.testing.assert_array_equal(v.values[6:9], [0, 0, 0])
-        assert v.values[9] == 1.0
+        corpus = Corpus(["d0"], ["a"])
+        rows = np.array([[0, 3, 4]], dtype=np.float32)
+        ex = FeatureExtractor(build_inverted_index(corpus), EmbeddingMatrix(rows))
+        m = ex.feature_matrix(["a"], np.array([0.0, 3.0, 4.0]), np.array([0]))
+        np.testing.assert_array_equal(m[0, 6:9], [0, 0, 0])
+        assert m[0, 9] == 1.0
 
     def test_total_for_alternative_layouts(self):
-        assert build_registry(768, lexical_count=253).total == 2559
+        other = FeatureRegistry(768, tuple(f"lex_{i:03d}" for i in range(253)))
+        assert other.total == 2559
         assert build_registry(32).total == 3 * 32 + 2 + LEXICAL_COUNT
 
     def test_dimension_validation(self):
-        reg = build_registry(2, lexical_count=1)
         with pytest.raises(ValueError):
-            blend([1, 0, 0], [0, 1], 0.0, 1, [5], reg)
+            build_registry(0)
+        ex = layout_extractor()
         with pytest.raises(ValueError):
-            blend([1, 0], [0, 1], 0.0, 0, [5], reg)
+            ex.feature_matrix(["a"], np.array([1.0, 0.0, 0.0]), np.array([0, 1]))
 
     def test_names_and_families(self):
         reg = build_registry(2)
@@ -159,33 +236,31 @@ class TestRegistryAndBlend:
         assert reg.family(3 * 2 + 2) == "lexical"
 
     def test_registry_json(self):
-        reg = build_registry(2, lexical_count=1)
-        assert '"cosine"' in reg.to_json()
+        assert '"cosine"' in build_registry(2).to_json()
 
 
 class TestMasks:
+    """Variants select columns of feature_matrix, as the cascade does."""
+
+    def matrix(self):
+        ex = layout_extractor()
+        return ex.registry, ex.feature_matrix(["b"], Q_LAYOUT, np.array([0, 1, 2]))
+
     def test_full_mask_is_identity(self):
-        reg = build_registry(2, lexical_count=1)
-        v = blend([1, 0], [0, 1], 0.5, 2, [9], reg)
-        np.testing.assert_array_equal(apply_mask(v, make_mask(reg, "full")), v.values)
+        reg, m = self.matrix()
+        np.testing.assert_array_equal(m[:, make_mask(reg, "full").included], m)
 
     def test_lexical_mask_keeps_rank_and_lexical(self):
-        reg = build_registry(2, lexical_count=1)
-        v = blend([1, 0], [0, 1], 0.0, 3, [5], reg)
-        np.testing.assert_array_equal(apply_mask(v, make_mask(reg, "lexical")), [3, 5])
+        reg, m = self.matrix()
+        got = m[:, make_mask(reg, "lexical").included]
+        assert got.shape == (3, 1 + LEXICAL_COUNT)
+        np.testing.assert_array_equal(got[:, 0], [1, 2, 3])
+        np.testing.assert_array_equal(got[:, 1:], m[:, 8:])
 
     def test_dense_mask(self):
-        reg = build_registry(2, lexical_count=1)
-        v = blend([1, 0], [0, 1], 0.0, 3, [5], reg)
-        np.testing.assert_array_equal(apply_mask(v, make_mask(reg, "dense")),
+        reg, m = self.matrix()
+        np.testing.assert_array_equal(m[2, make_mask(reg, "dense").included],
                                       [1, 0, 0, 1, 1, -1, 0, 3])
-
-    def test_hash_mismatch_rejected(self):
-        reg_a = build_registry(2, lexical_count=1)
-        reg_b = build_registry(3, lexical_count=1)
-        v = blend([1, 0], [0, 1], 0.0, 1, [5], reg_a)
-        with pytest.raises(ValueError, match="hash"):
-            apply_mask(v, make_mask(reg_b, "full"))
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -201,35 +276,28 @@ class TestCandidateFeatures:
 
     def test_single_candidate_rank_one(self):
         ex = self.make_extractor()
-        ranking = Ranking(np.array([1]), np.array([0.5]))
-        (bv,) = ex.candidate_features(["a"], np.array([1.0, 0, 0]), ranking)
-        assert bv.values[ex.registry.rank_id] == 1.0
+        m = ex.feature_matrix(["a"], np.array([1.0, 0, 0]), np.array([1]))
+        assert m[0, ex.registry.rank_id] == 1.0
 
     def test_rank_follows_cosine_not_first_stage(self):
         ex = self.make_extractor()
         # First-stage order: d1 before d0, but cosine with e0 prefers d0.
-        ranking = Ranking(np.array([1, 0]), np.array([9.0, 1.0]))
-        bvs = ex.candidate_features(["a"], np.array([1.0, 0, 0]), ranking)
-        ranks = [bv.values[ex.registry.rank_id] for bv in bvs]
-        assert ranks == [2.0, 1.0]
+        m = ex.feature_matrix(["a"], np.array([1.0, 0, 0]), np.array([1, 0]))
+        assert m[:, ex.registry.rank_id].tolist() == [2.0, 1.0]
 
     def test_rank_multiset_is_1_to_k(self):
         ex = self.make_extractor()
-        ranking = Ranking(np.array([2, 0, 1]), np.array([3.0, 2.0, 1.0]))
-        bvs = ex.candidate_features(["a", "b"], np.array([0.3, 0.4, 0.5]), ranking)
-        ranks = sorted(bv.values[ex.registry.rank_id] for bv in bvs)
-        assert ranks == [1.0, 2.0, 3.0]
-        for bv in bvs:
-            assert np.isfinite(bv.values).all()
+        m = ex.feature_matrix(["a", "b"], np.array([0.3, 0.4, 0.5]), np.array([2, 0, 1]))
+        assert sorted(m[:, ex.registry.rank_id]) == [1.0, 2.0, 3.0]
+        assert np.isfinite(m).all()
 
     def test_lexical_block_invariant_to_other_candidates(self):
         ex = self.make_extractor()
         reg = ex.registry
-        solo = ex.candidate_features(["a"], np.ones(3), Ranking(np.array([0]), np.array([1.0])))
-        both = ex.candidate_features(["a"], np.ones(3),
-                                     Ranking(np.array([0, 2]), np.array([1.0, 0.5])))
+        solo = ex.feature_matrix(["a"], np.ones(3), np.array([0]))
+        both = ex.feature_matrix(["a"], np.ones(3), np.array([0, 2]))
         lex = slice(3 * reg.dim + 2, reg.total)
-        np.testing.assert_array_equal(solo[0].values[lex], both[0].values[lex])
+        np.testing.assert_array_equal(solo[0, lex], both[0, lex])
 
     def test_matrix_needed_rows(self):
         ex = self.make_extractor()

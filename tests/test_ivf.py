@@ -221,6 +221,16 @@ class TestSearch:
             search(idx, q, 5, idx.nlist)
 
     @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected_by_exhaustive_search(self, bad, metric):
+        # The oracle refuses what search() refuses, instead of ranking by NaN.
+        m = random_matrix(20, 4, 2)
+        q = np.array([1.0, 1.0, 0.0, 0.0])
+        q[0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            exhaustive_search(m, q, 5, metric)
+
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
     def test_zero_query_returns_probed_ids_in_id_order(self, metric):
         # Every centroid and document scores 0: the first nprobe lists are
         # probed and their documents come back in internal-id order.

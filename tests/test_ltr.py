@@ -373,6 +373,18 @@ def train_params(**kw):
     return TrainParams(**defaults)
 
 
+class TestLtrDataset:
+    def test_select_columns_keeps_groups_and_column_order(self):
+        ds = synthetic_dataset(0)
+        sel = ds.select_columns(np.array([3, 0]))
+        assert sel.feature_count == 2 and len(sel) == len(ds)
+        for a, b in zip(sel.groups, ds.groups):
+            assert a.query_id == b.query_id
+            np.testing.assert_array_equal(a.features, b.features[:, [3, 0]])
+            np.testing.assert_array_equal(a.labels, b.labels)
+            np.testing.assert_array_equal(a.doc_ids, b.doc_ids)
+
+
 class TestTrain:
     def test_zero_max_trees_empty_ensemble(self):
         ens = train(synthetic_dataset(0), synthetic_dataset(1),

@@ -77,12 +77,13 @@ class TestSynthetic:
 def test_bm25_vs_cosine_top10_disagreement():
     data = make_synthetic(400, 40, 16, seed=5)
     inv = build_inverted_index(data.corpus)
-    from blendrank.features import _QueryContext, _lexical_features
+    from blendrank.features import _QueryContext
+    from lexical_oracle import lexical_features
     disagree = 0
     for j, qid in enumerate(data.queries.query_ids):
         tokens = data.queries.texts[j].split()
         ctx = _QueryContext(inv, tokens)
-        bm25 = np.array([_lexical_features(inv, ctx, d)[24] for d in range(400)])
+        bm25 = np.array([lexical_features(inv, ctx, d)[24] for d in range(400)])
         top_bm25 = set(np.lexsort((np.arange(400), -bm25))[:10].tolist())
         q = data.query_embeddings.rows[j].astype(np.float64)
         top_cos = set(exhaustive_search(data.doc_embeddings, q, 10, "cosine").ids.tolist())
@@ -100,17 +101,21 @@ class TestConfig:
 
     def test_from_file_with_overrides(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("# cascade settings\nnprobe = 4\nk_first = 50\nmetric = cosine\n")
+        p.write_text("# cascade settings\nnprobe = 4\nk_first = 50\nmodel = m.json\n")
         cfg = PipelineConfig.from_file(p, rerank_cutoff=10, k_final=20)
         assert cfg.nprobe == 4 and cfg.k_first == 50
-        assert cfg.metric == "cosine"
+        assert cfg.model == "m.json"
         assert cfg.rerank_cutoff == 10
 
     def test_unknown_key_rejected(self, tmp_path):
+        # The IVF metric is fixed when the index is built, the mask comes from
+        # the model and qrels from --qrels, so none is a config key.
         p = tmp_path / "run.cfg"
-        p.write_text("bogus = 1\n")
-        with pytest.raises(ValueError, match="unknown config key"):
-            PipelineConfig.from_file(p)
+        for line in ("bogus = 1", "metric = cosine", "mask_variant = lexical",
+                     "qrels = qrels.txt"):
+            p.write_text(line + "\n")
+            with pytest.raises(ValueError, match="unknown config key"):
+                PipelineConfig.from_file(p)
 
 
 def _query(data, i):
@@ -292,22 +297,15 @@ class TestTrainPipeline:
         np.testing.assert_array_equal(models["lexical"].score_batch(X),
                                       single.score_batch(X))
 
-    def test_batch_threads_match_sequential(self, world, trained):
-        data, _ = world
-        qs = data.queries.subset(range(40, 52))
-        run_seq, _, _ = trained.run_batch(qs)
-        run_par, _, _ = trained.run_batch(qs, threads=4)
-        assert run_seq == run_par
-
 
 class TestDatasetFiles:
     def test_round_trip(self, world, tmp_path):
         from blendrank.ltr import load_dataset, save_dataset
-        from blendrank.pipeline import _build_blended_datasets
+        from blendrank.pipeline import build_blended_datasets
         data, pipe = world
         tr = data.queries.subset(range(10))
         va = data.queries.subset(range(10, 15))
-        full_train, _ = _build_blended_datasets(pipe, tr, va, data.qrels, 10, 3, None)
+        full_train, _ = build_blended_datasets(pipe, tr, va, data.qrels, 10, 3)
         path = tmp_path / "train.npz"
         save_dataset(full_train, path, registry_dim=pipe.extractor.registry.dim)
         loaded, dim = load_dataset(path)
@@ -320,23 +318,21 @@ class TestDatasetFiles:
             np.testing.assert_array_equal(a.doc_ids, b.doc_ids)
 
 
-class TestFeatureTsv:
-    def test_header_and_values(self, tmp_path):
-        from blendrank.features import build_registry, write_features_tsv
-        reg = build_registry(2, lexical_count=1)
-        m = np.array([[1, 0, 0, 1, 1, -1, 0, 3, 5]], dtype=np.float64)
-        out = tmp_path / "features.tsv"
-        write_features_tsv(m, reg, out, row_ids=["d9"])
-        lines = out.read_text().splitlines()
-        assert lines[0].split("\t")[0] == "row"
-        assert "cosine" in lines[0] and "rank" in lines[0]
-        assert lines[1].split("\t")[0] == "d9"
-        assert float(lines[1].split("\t")[-1]) == 5.0
-
-    def test_width_check(self, tmp_path):
-        from blendrank.features import build_registry, write_features_tsv
-        with pytest.raises(ValueError, match="width"):
-            write_features_tsv(np.zeros((1, 4)), build_registry(2), tmp_path / "x.tsv")
+class TestRegistryBinding:
+    def test_model_from_another_registry_rejected(self, world, trained, tmp_path):
+        import json
+        from blendrank.features import build_registry
+        from blendrank.ltr import load_model, save_model
+        _, pipe = world
+        path = tmp_path / "model.json"
+        save_model(trained.model, path)
+        doc = json.loads(path.read_text())
+        assert doc["registry_hash"] == pipe.extractor.registry.registry_hash
+        doc["registry_hash"] = build_registry(8).registry_hash
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="different feature registry"):
+            Pipeline(pipe.config, pipe.corpus, pipe.inverted_index, pipe.doc_embeddings,
+                     pipe.ivf_index, pipe.query_vectors, load_model(path))
 
 
 def _single(qid, text):
