@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binformat import SectionReader
+
 INDEX_MAGIC = b"CRIX1"
+_MAX_DOC_LEN = int(np.iinfo(np.int32).max)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -196,10 +199,12 @@ class InvertedIndex:
 
     postings maps term -> (ids, tfs, positions) where ids is a sorted int64
     array of internal document ids, tfs the matching term frequencies, and
-    positions a list of sorted int32 position arrays, one per posting.
+    positions the postings' sorted int32 position runs laid end to end, as
+    CRIX1 stores them: posting k's run holds tfs[k] positions and is read
+    with `run(term, k)`.
     """
 
-    def __init__(self, postings: dict[str, tuple[np.ndarray, np.ndarray, list[np.ndarray]]],
+    def __init__(self, postings: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
                  doc_len: np.ndarray, stemmed: bool = False):
         self.postings = postings
         self.doc_len = np.asarray(doc_len, dtype=np.int64)
@@ -209,6 +214,8 @@ class InvertedIndex:
         self.avg_doc_len = self.total_tokens / self.n_docs if self.n_docs else 0.0
         self.df = {t: int(p[0].shape[0]) for t, p in postings.items()}
         self.cf = {t: int(p[1].sum()) for t, p in postings.items()}
+        # Posting k's run is positions[run_bounds[term][k]:run_bounds[term][k + 1]].
+        self.run_bounds: dict[str, np.ndarray] = {}
         # Derived per-document statistics used by the lexical features.
         self.unique_terms = np.zeros(self.n_docs, dtype=np.int64)
         sq_norm = np.zeros(self.n_docs, dtype=np.float64)
@@ -216,6 +223,7 @@ class InvertedIndex:
         # and its loaded copy sum each norm in the same order.
         for term in sorted(postings):
             ids, tfs, _ = postings[term]
+            self.run_bounds[term] = np.concatenate(([0], np.cumsum(tfs)))
             self.unique_terms[ids] += 1
             idf = self.idf(term)
             w = tfs.astype(np.float64) * idf
@@ -230,24 +238,19 @@ class InvertedIndex:
     def posting(self, term: str):
         return self.postings.get(term)
 
-    def tf(self, term: str, internal_id: int) -> int:
-        p = self.postings.get(term)
-        if p is None:
-            return 0
-        ids, tfs, _ = p
-        k = int(np.searchsorted(ids, internal_id))
-        if k < ids.shape[0] and ids[k] == internal_id:
-            return int(tfs[k])
-        return 0
+    def run(self, term: str, k: int) -> np.ndarray:
+        """The sorted positions of the term's k-th posting."""
+        bounds = self.run_bounds[term]
+        return self.postings[term][2][bounds[k]:bounds[k + 1]]
 
     def positions(self, term: str, internal_id: int) -> np.ndarray:
         p = self.postings.get(term)
         if p is None:
             return np.empty(0, dtype=np.int32)
-        ids, _, pos = p
+        ids = p[0]
         k = int(np.searchsorted(ids, internal_id))
         if k < ids.shape[0] and ids[k] == internal_id:
-            return pos[k]
+            return self.run(term, k)
         return np.empty(0, dtype=np.int32)
 
 
@@ -255,7 +258,7 @@ def build_inverted_index(corpus: Corpus, stem: bool = False) -> InvertedIndex:
     """Tokenize every document and build the positional index."""
     if len(corpus) == 0:
         raise ValueError("cannot index an empty corpus")
-    acc: dict[str, list[tuple[int, list[int]]]] = {}
+    acc: dict[str, tuple[list[int], list[int], list[int]]] = {}
     doc_len = np.zeros(len(corpus), dtype=np.int64)
     for internal_id, text in enumerate(corpus.texts):
         tokens = tokenize(text, stem=stem)
@@ -264,13 +267,13 @@ def build_inverted_index(corpus: Corpus, stem: bool = False) -> InvertedIndex:
         for pos, tok in enumerate(tokens):
             by_term.setdefault(tok, []).append(pos)
         for term, positions in by_term.items():
-            acc.setdefault(term, []).append((internal_id, positions))
-    postings = {}
-    for term, entries in acc.items():
-        ids = np.array([e[0] for e in entries], dtype=np.int64)
-        tfs = np.array([len(e[1]) for e in entries], dtype=np.int64)
-        pos = [np.array(e[1], dtype=np.int32) for e in entries]
-        postings[term] = (ids, tfs, pos)
+            ids, tfs, pos = acc.setdefault(term, ([], [], []))
+            ids.append(internal_id)
+            tfs.append(len(positions))
+            pos.extend(positions)
+    postings = {term: (np.array(ids, dtype=np.int64), np.array(tfs, dtype=np.int64),
+                       np.array(pos, dtype=np.int32))
+                for term, (ids, tfs, pos) in acc.items()}
     return InvertedIndex(postings, doc_len, stemmed=stem)
 
 
@@ -289,38 +292,52 @@ def save_inverted_index(index: InvertedIndex, path) -> None:
         buf.write(raw)
         buf.write(ids.astype("<i8").tobytes())
         buf.write(tfs.astype("<i8").tobytes())
-        for p in pos:
-            buf.write(p.astype("<i4").tobytes())
+        buf.write(pos.astype("<i4").tobytes())
     with open(path, "wb") as f:
         f.write(buf.getvalue())
 
 
 def load_inverted_index(path) -> InvertedIndex:
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:5] != INDEX_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a CRIX1 index")
-    off = 5
-    stemmed, n_docs, _total = struct.unpack_from("<BIQ", data, off)
-    off += struct.calcsize("<BIQ")
-    doc_len = np.frombuffer(data, dtype="<i8", count=n_docs, offset=off).copy()
-    off += 8 * n_docs
-    (n_terms,) = struct.unpack_from("<I", data, off)
-    off += 4
+    """Read a CRIX1 file; a damaged or inconsistent file raises ValueError
+    naming the path and the section at fault."""
+    r = SectionReader(path, INDEX_MAGIC)
+    stemmed, n_docs, total_tokens = r.fields("header", "<BIQ")
+    if stemmed > 1:
+        raise r.fail("header", f"has stemmed flag {stemmed}, not 0 or 1")
+    doc_len = r.array("doc_len", "<i8", n_docs)
+    # A position is an int32, so no document is longer; this also keeps
+    # every sum below in range.
+    if np.any((doc_len < 0) | (doc_len > _MAX_DOC_LEN)) or int(doc_len.sum()) != total_tokens:
+        raise r.fail("doc_len", f"must lie in 0..{_MAX_DOC_LEN} and sum to the "
+                                f"header's total_tokens {total_tokens}")
+    (n_terms,) = r.fields("term count", "<I")
     postings = {}
+    doc_tokens = np.zeros(n_docs, dtype=np.int64)
+    prev = None
     for _ in range(n_terms):
-        term_len, df = struct.unpack_from("<HI", data, off)
-        off += struct.calcsize("<HI")
-        term = data[off:off + term_len].decode("utf-8")
-        off += term_len
-        ids = np.frombuffer(data, dtype="<i8", count=df, offset=off).copy()
-        off += 8 * df
-        tfs = np.frombuffer(data, dtype="<i8", count=df, offset=off).copy()
-        off += 8 * df
-        pos = []
-        for tf in tfs:
-            p = np.frombuffer(data, dtype="<i4", count=int(tf), offset=off).copy()
-            off += 4 * int(tf)
-            pos.append(p)
+        term_len, df = r.fields("term header", "<HI")
+        try:
+            term = r.raw("term", term_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise r.fail("term", "is not UTF-8") from None
+        if prev is not None and term <= prev:
+            raise r.fail("term", f"{term!r} does not sort after {prev!r}")
+        prev = term
+        ids = r.array("ids", "<i8", df)
+        if df == 0 or ids[0] < 0 or ids[-1] >= n_docs or np.any(ids[1:] <= ids[:-1]):
+            raise r.fail("ids", f"of {term!r} must strictly increase within 0..{n_docs - 1}")
+        tfs = r.array("tfs", "<i8", df)
+        if np.any((tfs < 1) | (tfs > doc_len[ids])):
+            raise r.fail("tfs", f"of {term!r} must lie in 1..doc_len")
+        pos = r.array("positions", "<i4", int(tfs.sum()))
+        rises = pos[1:] > pos[:-1]
+        rises[(np.cumsum(tfs) - 1)[:-1]] = True  # a new run may start lower
+        if pos.min() < 0 or np.any(pos >= np.repeat(doc_len[ids], tfs)) or not rises.all():
+            raise r.fail("positions", f"of {term!r} must strictly increase within "
+                                      "each posting and lie in 0..doc_len-1")
+        doc_tokens[ids] += tfs
         postings[term] = (ids, tfs, pos)
+    r.end()
+    if not np.array_equal(doc_tokens, doc_len):
+        raise r.fail("doc_len", "does not equal each document's position total")
     return InvertedIndex(postings, doc_len, stemmed=bool(stemmed))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binformat import SectionReader
 from .corpus import tokenize
 
 EMBEDDING_MAGIC = b"CREM1"
@@ -43,9 +44,6 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.rows.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.rows[i]
-
 
 def save_embeddings(matrix: EmbeddingMatrix | np.ndarray, path) -> None:
     rows = matrix.rows if isinstance(matrix, EmbeddingMatrix) else np.asarray(matrix, dtype=np.float32)
@@ -57,19 +55,14 @@ def save_embeddings(matrix: EmbeddingMatrix | np.ndarray, path) -> None:
 
 def load_embeddings(path, expected_rows: int | None = None) -> EmbeddingMatrix:
     """Load a CREM1 file; row count is checked against the collection size."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:5] != EMBEDDING_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a CREM1 embedding file")
-    n_rows, dim = struct.unpack_from("<II", data, 5)
-    payload = np.frombuffer(data, dtype="<f4", offset=13)
-    if payload.shape[0] != n_rows * dim:
-        raise ValueError(f"{path}: payload holds {payload.shape[0]} floats, header says {n_rows}x{dim}")
+    r = SectionReader(path, EMBEDDING_MAGIC)
+    n_rows, dim = r.fields("header", "<II")
     if expected_rows is not None and n_rows != expected_rows:
-        raise ValueError(f"{path}: expected {expected_rows} rows, file has {n_rows}")
-    rows = payload.reshape(n_rows, dim).copy()
+        raise r.fail("header", f"gives {n_rows} rows; expected {expected_rows} rows")
+    rows = r.array("payload", "<f4", n_rows * dim).reshape(n_rows, dim)
+    r.end()
     if not np.isfinite(rows).all():
-        raise ValueError(f"{path}: embedding file contains non-finite values")
+        raise r.fail("payload", "contains non-finite values")
     return EmbeddingMatrix(rows)
 
 

@@ -34,8 +34,6 @@ LM_MU = 1000.0
 
 PAIR_WINDOW = 8
 
-FAMILIES = ("dense_query", "dense_doc", "dense_delta", "cosine", "rank", "lexical")
-
 _STATS = ("tf", "tf_norm", "idf", "tfidf", "bm25", "lm_dir")
 _AGGS = ("sum", "min", "max", "mean")
 
@@ -78,10 +76,6 @@ class FeatureRegistry:
     @property
     def total(self) -> int:
         return 3 * self.dim + 2 + self.lexical_count
-
-    @property
-    def cosine_id(self) -> int:
-        return 3 * self.dim
 
     @property
     def rank_id(self) -> int:
@@ -236,16 +230,6 @@ def _proximity_triple(plists: list[np.ndarray], dl: int):
     return window, sum(dists) / len(dists), float(within)
 
 
-def _bigram_hits(index: InvertedIndex, ctx: _QueryContext, internal_id: int) -> float:
-    hits = 0
-    for a_tok, b_tok in ctx.bigrams:
-        pa = index.positions(a_tok, internal_id)
-        pb = index.positions(b_tok, internal_id)
-        if len(pa) and len(pb):
-            hits += int(np.intersect1d(pa + 1, pb).shape[0])
-    return float(hits)
-
-
 def _lexical_features_batch(index: InvertedIndex, ctx: _QueryContext,
                             doc_ids: np.ndarray) -> np.ndarray:
     """Vectorized catalog for many documents of one query.
@@ -254,8 +238,9 @@ def _lexical_features_batch(index: InvertedIndex, ctx: _QueryContext,
     arrays with the same elementwise operations as the per-document oracle
     in tests/lexical_oracle.py (term-order accumulation keeps the sums
     bitwise identical); only the
-    positional features fall back to the per-document helpers, and only
-    for documents with at least two matched terms or a matched bigram.
+    positional features loop over documents, and only over those with at
+    least two matched terms or a matched bigram. They read each matched
+    posting's positions by its index (`match_pos`), found once per term.
     """
     n = doc_ids.shape[0]
     out = np.zeros((n, LEXICAL_COUNT), dtype=np.float64)
@@ -285,8 +270,9 @@ def _lexical_features_batch(index: InvertedIndex, ctx: _QueryContext,
         tf_norm = np.where(dl[None, :] > 0, tf / dl_safe[None, :], 0.0)
         tfidf = tf * idf
         bm25 = np.where(tf > 0, idf * tf / (tf + BM25_K1 * norm_len[None, :]), 0.0)
-        with np.errstate(divide="ignore"):
-            # cf == 0 lanes produce log(0) and are discarded by the where.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # cf == 0 lanes produce log(0), or 0/0 when every document is
+            # empty, and are discarded by the where.
             lm = np.where(cf > 0,
                           np.log((tf + LM_MU * cf / index.total_tokens)
                                  / (dl[None, :] + LM_MU)),
@@ -323,17 +309,22 @@ def _lexical_features_batch(index: InvertedIndex, ctx: _QueryContext,
     out[:, 32] = dl + 1.0
     out[:, 33] = dl
     for r in np.flatnonzero(matched >= 2):
-        plists = [ctx.postings[t_i][2][match_pos[t_i, r]]
-                  for t_i in range(n_terms) if match_pos[t_i, r] >= 0]
+        plists = [index.run(term, k) for term, k in zip(ctx.terms, match_pos[:, r]) if k >= 0]
         out[r, 32], out[r, 33], out[r, 35] = _proximity_triple(plists, int(dl[r]))
     if ctx.bigrams:
         term_pos = {t: i for i, t in enumerate(ctx.terms)}
+        pairs = [(term_pos[a_tok], term_pos[b_tok]) for a_tok, b_tok in ctx.bigrams]
         maybe = np.zeros(n, dtype=bool)
-        for a_tok, b_tok in ctx.bigrams:
-            ia, ib = term_pos[a_tok], term_pos[b_tok]
+        for ia, ib in pairs:
             maybe |= (match_pos[ia] >= 0) & (match_pos[ib] >= 0)
         for r in np.flatnonzero(maybe):
-            out[r, 34] = _bigram_hits(index, ctx, int(doc_ids[r]))
+            hits = 0
+            for ia, ib in pairs:
+                ka, kb = match_pos[ia, r], match_pos[ib, r]
+                if ka >= 0 and kb >= 0:
+                    hits += np.intersect1d(index.run(ctx.terms[ia], ka) + 1,
+                                           index.run(ctx.terms[ib], kb)).shape[0]
+            out[r, 34] = float(hits)
     return out
 
 

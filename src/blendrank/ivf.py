@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binformat import SectionReader
 from .embeddings import EmbeddingMatrix
 
 IVF_MAGIC = b"CRIV1"
@@ -249,33 +250,23 @@ def save_ivf(index: IvfIndex, path) -> None:
 def load_ivf(path) -> IvfIndex:
     """Read a CRIV1 file; a damaged file raises ValueError naming the path
     and the section at fault."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:5] != IVF_MAGIC:
-        raise ValueError(f"{path}: bad magic, not a CRIV1 index")
-    off = 5 + struct.calcsize("<BIIQ")
-    if len(data) < off:
-        raise ValueError(f"{path}: header truncated ({len(data)} bytes)")
-    metric_code, nlist, dim, n_docs = struct.unpack_from("<BIIQ", data, 5)
-    if metric_code >= len(METRICS):
-        raise ValueError(f"{path}: header names unknown metric code {metric_code}")
-    sections = {}
-    for name, dtype, count in (("centroids", "<f8", nlist * dim), ("offsets", "<i8", nlist + 1),
-                               ("ids", "<i8", n_docs), ("vectors", "<f4", n_docs * dim)):
-        end = off + np.dtype(dtype).itemsize * count
-        if end > len(data):
-            raise ValueError(f"{path}: {name} section truncated: the header implies "
-                             f"bytes {off}-{end}, the file has {len(data)}")
-        sections[name] = np.frombuffer(data, dtype=dtype, count=count, offset=off).copy()
-        off = end
-    if off != len(data):
-        raise ValueError(f"{path}: {len(data) - off} bytes after the vectors section; "
-                         f"the header implies {off} bytes in all")
-    offsets, ids = sections["offsets"], sections["ids"]
+    r = SectionReader(path, IVF_MAGIC)
+    metric_code, nlist, dim, n_docs = r.fields("header", "<BIIQ")
+    if metric_code >= len(METRICS) or nlist < 1:
+        raise r.fail("header", f"names metric code {metric_code} and {nlist} lists; "
+                               f"want a code below {len(METRICS)} and at least 1 list")
+    centroids = r.array("centroids", "<f8", nlist * dim)
+    offsets = r.array("offsets", "<i8", nlist + 1)
+    ids = r.array("ids", "<i8", n_docs)
+    vectors = r.array("vectors", "<f4", n_docs * dim)
+    r.end()
+    if not np.isfinite(centroids).all():
+        raise r.fail("centroids", "contains non-finite values")
     if offsets[0] != 0 or offsets[-1] != n_docs or np.any(np.diff(offsets) < 0):
-        raise ValueError(f"{path}: offsets section must run from 0 to n_docs={n_docs} "
-                         "without decreasing")
+        raise r.fail("offsets", f"must run from 0 to n_docs={n_docs} without decreasing")
     if not np.array_equal(np.sort(ids), np.arange(n_docs)):
-        raise ValueError(f"{path}: ids section is not a permutation of 0..{n_docs - 1}")
-    return IvfIndex(Centroids(sections["centroids"].reshape(nlist, dim)), offsets, ids,
-                    sections["vectors"].reshape(n_docs, dim), METRICS[metric_code])
+        raise r.fail("ids", f"is not a permutation of 0..{n_docs - 1}")
+    if not np.isfinite(vectors).all():
+        raise r.fail("vectors", "contains non-finite values")
+    return IvfIndex(Centroids(centroids.reshape(nlist, dim)), offsets, ids,
+                    vectors.reshape(n_docs, dim), METRICS[metric_code])

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
@@ -198,21 +197,6 @@ def ndcg_from_scores(scores: np.ndarray, labels: np.ndarray, k: int,
     return float(np.sum(g / np.log2(1.0 + r)) / idcg)
 
 
-def delta_ndcg(labels, current_ranks, i: int, j: int, truncation: int = 10) -> float:
-    """|nDCG@truncation change| if the documents at positions i and j swap ranks."""
-    if i == j:
-        raise ValueError("i and j must differ")
-    idcg = ideal_dcg(labels, truncation)
-    if idcg == 0.0:
-        return 0.0
-    labels = np.asarray(labels)
-    ranks = np.asarray(current_ranks)
-    gi, gj = _gains(labels[[i, j]])
-    di = 1.0 / math.log2(1.0 + ranks[i]) if ranks[i] <= truncation else 0.0
-    dj = 1.0 / math.log2(1.0 + ranks[j]) if ranks[j] <= truncation else 0.0
-    return abs((gi - gj) * (di - dj)) / idcg
-
-
 def compute_lambdas(scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0,
                     truncation: int = 10, tie_ids: np.ndarray | None = None):
     """Pairwise lambda gradients and hessians for one query group.
@@ -315,17 +299,13 @@ class _TreeBuilder:
     in a canonical order regardless of how the caller ordered the rows.
     """
 
-    def __init__(self, X: np.ndarray, params: TrainParams,
-                 row_keys: np.ndarray | None = None):
+    def __init__(self, X: np.ndarray, params: TrainParams, row_keys: np.ndarray):
         self.X = np.asarray(X, dtype=np.float64)
         self.n, self.n_features = self.X.shape
         self.params = params
-        if row_keys is None:
-            self.presort = np.argsort(self.X, axis=0, kind="stable").T.copy()
-        else:
-            self.presort = np.empty((self.n_features, self.n), dtype=np.int64)
-            for f in range(self.n_features):
-                self.presort[f] = np.lexsort((row_keys, self.X[:, f]))
+        self.presort = np.empty((self.n_features, self.n), dtype=np.int64)
+        for f in range(self.n_features):
+            self.presort[f] = np.lexsort((row_keys, self.X[:, f]))
         self._col = np.arange(self.n_features)[:, None]
         self._membership = np.zeros(self.n, dtype=bool)
 
@@ -444,7 +424,8 @@ class _TreeBuilder:
 def fit_tree(X: np.ndarray, lambdas: np.ndarray, hessians: np.ndarray,
              params: TrainParams) -> RegressionTree:
     """Grow a single tree (standalone entry point; training reuses a builder)."""
-    return _TreeBuilder(np.asarray(X, dtype=np.float64), params).fit(
+    X = np.asarray(X, dtype=np.float64)
+    return _TreeBuilder(X, params, np.arange(X.shape[0])).fit(
         np.asarray(lambdas, dtype=np.float64), np.asarray(hessians, dtype=np.float64))
 
 

@@ -9,7 +9,17 @@ import numpy as np
 
 from blendrank.corpus import InvertedIndex
 from blendrank.features import (BM25_B, BM25_K1, LEXICAL_COUNT, LM_MU,
-                                _bigram_hits, _proximity_triple, _QueryContext)
+                                _proximity_triple, _QueryContext)
+
+
+def _bigram_hits(index: InvertedIndex, ctx: _QueryContext, internal_id: int) -> float:
+    hits = 0
+    for a_tok, b_tok in ctx.bigrams:
+        pa = index.positions(a_tok, internal_id)
+        pb = index.positions(b_tok, internal_id)
+        if len(pa) and len(pb):
+            hits += int(np.intersect1d(pa + 1, pb).shape[0])
+    return float(hits)
 
 
 def extract_lexical(index: InvertedIndex, query_tokens: list[str],
@@ -37,11 +47,11 @@ def lexical_features(index: InvertedIndex, ctx: _QueryContext,
         tf = 0
         positions = None
         if posting is not None:
-            ids, pfs, pos = posting
+            ids, pfs, _ = posting
             k = int(np.searchsorted(ids, internal_id))
             if k < ids.shape[0] and ids[k] == internal_id:
                 tf = int(pfs[k])
-                positions = pos[k]
+                positions = index.run(ctx.terms[t_i], k)
         idf = ctx.idf[t_i]
         cf = ctx.cf[t_i]
         tf_f = float(tf)

@@ -141,10 +141,14 @@ class TestInvertedIndex:
                  for _ in range(25)]
         idx = build_inverted_index(Corpus([f"d{i}" for i in range(25)], texts))
         for term, (ids, tfs, pos) in idx.postings.items():
-            assert int(tfs.sum()) == idx.cf[term]
+            assert int(tfs.sum()) == idx.cf[term] == len(pos)
             assert len(ids) == idx.df[term]
-            for p_arr, tf in zip(pos, tfs):
-                assert len(p_arr) == tf
+            runs = [idx.run(term, k) for k in range(len(ids))]
+            for run, tf in zip(runs, tfs):
+                assert len(run) == tf
+                assert np.all(np.diff(run) > 0)
+            # The runs tile the term's positions array in posting order.
+            assert np.concatenate(runs).tolist() == pos.tolist()
 
     def test_doc_len_equals_position_total(self):
         idx = build_inverted_index(self.corpus())

@@ -1,6 +1,7 @@
 """Lexical feature catalog and blended feature-matrix layout tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,20 @@ class TestQueryEdges:
         for doc in range(idx.n_docs):
             np.testing.assert_array_equal(lex[doc], self.unmatched_block(idx, doc, 0.0),
                                           err_msg=f"doc {doc}")
+
+    def test_all_empty_documents_warn_nothing(self):
+        """With total_tokens 0 the language-model lanes compute 0/0; the
+        batch path discards them silently and agrees with the oracle."""
+        corpus = Corpus(["d0", "d1", "d2"], ["", "...", " - "])
+        rows = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.float32)
+        extractor = FeatureExtractor(build_inverted_index(corpus), EmbeddingMatrix(rows))
+        tokens = ["a", "b", "a"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lex = lexical_block(extractor, tokens)
+            for doc in range(3):
+                np.testing.assert_array_equal(
+                    lex[doc], extract_lexical(extractor.index, tokens, doc), err_msg=f"doc {doc}")
 
 
 def layout_extractor():

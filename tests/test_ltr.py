@@ -12,7 +12,7 @@ from blendrank.embeddings import EmbeddingMatrix
 from blendrank.features import FeatureExtractor
 from blendrank.ivf import Ranking
 from blendrank.ltr import (Ensemble, LtrDataset, LtrGroup, TrainParams,
-                           build_training_set, compute_lambdas, delta_ndcg,
+                           build_training_set, compute_lambdas,
                            feature_gains, fit_tree, ideal_dcg, load_model,
                            ndcg_from_scores, random_search_tune, save_model,
                            train, write_train_log, EPS, LEAF_CLAMP)
@@ -41,6 +41,21 @@ def brute_delta_by_swap(labels, ranks, i, j, truncation):
     order[ri - 1], order[rj - 1] = labels[j], labels[i]
     after = brute_ndcg(order, labels, truncation)
     return abs(after - before)
+
+
+def delta_ndcg(labels, current_ranks, i: int, j: int, truncation: int = 10) -> float:
+    """|nDCG@truncation change| if the documents at positions i and j swap
+    ranks, in closed form; the brute-force swap above is its oracle."""
+    if i == j:
+        raise ValueError("i and j must differ")
+    idcg = ideal_dcg(labels, truncation)
+    if idcg == 0.0:
+        return 0.0
+    gi, gj = 2.0 ** labels[i] - 1.0, 2.0 ** labels[j] - 1.0
+    ri, rj = current_ranks[i], current_ranks[j]
+    di = 1.0 / math.log2(1.0 + ri) if ri <= truncation else 0.0
+    dj = 1.0 / math.log2(1.0 + rj) if rj <= truncation else 0.0
+    return abs((gi - gj) * (di - dj)) / idcg
 
 
 def brute_lambdas(scores, labels, sigma, truncation, tie_ids):
