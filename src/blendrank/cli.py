@@ -12,13 +12,12 @@ import numpy as np
 from . import corpus as corpus_io
 from . import ivf as ivf_mod
 from .embeddings import EmbeddingMatrix, load_embeddings, save_embeddings, toy_encode
-from .features import build_registry, make_mask
-from .ltr import (TrainParams, feature_gains, load_dataset, load_model,
-                  random_search_tune, save_dataset, save_model, train,
-                  write_train_log)
+from .features import build_registry
+from .ltr import (TrainParams, feature_gains, load_dataset, load_model, save_dataset,
+                  save_model, write_train_log)
 from .metrics import bonferroni, evaluate_run, load_run, paired_t_test, per_query_diff, write_run
 from .pipeline import (Pipeline, PipelineConfig, build_blended_datasets, sweep,
-                       sweep_to_csv, train_pipeline)
+                       sweep_to_csv, train_pipeline, train_variant)
 from .synthetic import make_synthetic
 
 
@@ -214,14 +213,8 @@ def cmd_train(args) -> int:
         valid_full, _ = load_dataset(args.valid_data)
         if dim is None:
             raise SystemExit("dataset file carries no registry dimension")
-        mask = make_mask(build_registry(dim), variant)
-        train_ds = train_full.select_columns(mask.included)
-        valid_ds = valid_full.select_columns(mask.included)
-        if args.trials > 0:
-            params = random_search_tune(train_ds, valid_ds, args.trials,
-                                        args.seed or 0, base=params, **tune_kw)
-        ensemble = train(train_ds, valid_ds, params, mask)
-        ensemble.metadata["registry_dim"] = dim
+        ensemble = train_variant(train_full, valid_full, build_registry(dim), variant,
+                                 params, args.trials, args.seed or 0, tune_kw or None)
     else:
         if not (args.train_queries and args.valid_queries and args.qrels):
             raise SystemExit("train requires --train-queries, --valid-queries and "

@@ -7,6 +7,7 @@ counts (df, cf, total tokens).
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 import struct
@@ -24,6 +25,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 _VOWELS = set("aeiou")
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _porter_stem(word: str) -> str:
     """Light Porter-style suffix stripping (plurals, -ed/-ing, common derivations)."""
     if len(word) < 3:
@@ -62,8 +64,8 @@ def _porter_stem(word: str) -> str:
 def tokenize(text: str, stem: bool = False) -> list[str]:
     """Lowercase and split on non-alphanumeric runs; empty input gives [].
 
-    No stopword removal. Stemming is off by default and applied per token
-    when enabled.
+    No stopword removal. Stemming is off by default; when enabled, each
+    distinct word is stemmed once and the result cached.
     """
     tokens = _TOKEN_RE.findall(text.lower())
     if stem:
@@ -124,9 +126,10 @@ class Qrels:
         return len(self.judgments)
 
 
-def load_collection(path) -> Corpus:
-    """Read a TSV collection: one "doc_id<TAB>text" line per document."""
-    doc_ids: list[str] = []
+def _read_tsv(path, id_name: str, empty: str) -> tuple[list[str], list[str]]:
+    """(ids, texts) of an "id<TAB>text" file; blank lines are skipped, and a
+    line without a tab, a repeated id or a file with no rows is an error."""
+    ids: list[str] = []
     texts: list[str] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as f:
@@ -135,39 +138,26 @@ def load_collection(path) -> Corpus:
             if not line:
                 continue
             if "\t" not in line:
-                raise ValueError(f"{path}: malformed line {lineno}: expected doc_id<TAB>text")
-            doc_id, text = line.split("\t", 1)
-            if doc_id in seen:
-                raise ValueError(f"{path}: duplicate doc_id {doc_id!r} at line {lineno}")
-            seen.add(doc_id)
-            doc_ids.append(doc_id)
+                raise ValueError(f"{path}: malformed line {lineno}: expected {id_name}<TAB>text")
+            row_id, text = line.split("\t", 1)
+            if row_id in seen:
+                raise ValueError(f"{path}: duplicate {id_name} {row_id!r} at line {lineno}")
+            seen.add(row_id)
+            ids.append(row_id)
             texts.append(text)
-    if not doc_ids:
-        raise ValueError(f"{path}: empty collection")
-    return Corpus(doc_ids, texts)
+    if not ids:
+        raise ValueError(f"{path}: empty {empty}")
+    return ids, texts
+
+
+def load_collection(path) -> Corpus:
+    """Read a TSV collection: one "doc_id<TAB>text" line per document."""
+    return Corpus(*_read_tsv(path, "doc_id", "collection"))
 
 
 def load_queries(path) -> QuerySet:
     """Read a TSV query file: one "query_id<TAB>text" line per query."""
-    query_ids: list[str] = []
-    texts: list[str] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}: malformed line {lineno}: expected query_id<TAB>text")
-            qid, text = line.split("\t", 1)
-            if qid in seen:
-                raise ValueError(f"{path}: duplicate query_id {qid!r} at line {lineno}")
-            seen.add(qid)
-            query_ids.append(qid)
-            texts.append(text)
-    if not query_ids:
-        raise ValueError(f"{path}: empty query file")
-    return QuerySet(query_ids, texts)
+    return QuerySet(*_read_tsv(path, "query_id", "query file"))
 
 
 def load_qrels(path) -> Qrels:
@@ -242,16 +232,6 @@ class InvertedIndex:
         """The sorted positions of the term's k-th posting."""
         bounds = self.run_bounds[term]
         return self.postings[term][2][bounds[k]:bounds[k + 1]]
-
-    def positions(self, term: str, internal_id: int) -> np.ndarray:
-        p = self.postings.get(term)
-        if p is None:
-            return np.empty(0, dtype=np.int32)
-        ids = p[0]
-        k = int(np.searchsorted(ids, internal_id))
-        if k < ids.shape[0] and ids[k] == internal_id:
-            return self.run(term, k)
-        return np.empty(0, dtype=np.int32)
 
 
 def build_inverted_index(corpus: Corpus, stem: bool = False) -> InvertedIndex:

@@ -99,16 +99,3 @@ def toy_encode(text: str, dim: int, seed: int) -> np.ndarray:
     if norm > 0:
         out /= norm
     return out
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in f64; 0.0 whenever either vector has zero norm."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(u.dot(v) / (nu * nv))

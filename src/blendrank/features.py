@@ -19,7 +19,6 @@ tokens with duplicates.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 
@@ -113,14 +112,6 @@ class FeatureRegistry:
     def registry_hash(self) -> str:
         payload = f"{self.dim}|" + "|".join(self.lexical_names)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-    def to_json(self) -> str:
-        entries = [
-            {"id": i, "name": self.name(i), "family": self.family(i)}
-            for i in range(self.total)
-        ]
-        return json.dumps({"dim": self.dim, "hash": self.registry_hash,
-                           "entries": entries}, indent=1)
 
 
 def build_registry(dim: int) -> FeatureRegistry:

@@ -1,12 +1,14 @@
 """LambdaMART: lambda gradients from swap-deltas of truncated nDCG, boosted
 regression trees with exact split search, and early stopping on a
-validation set.
+validation set. Gains, discounts and nDCG come from `metrics`, so training
+scores a ranking exactly as evaluation does.
 
 Trees are grown best-first to a leaf budget. Split search is exact (every
-boundary between distinct sorted feature values is a candidate, with the
-midpoint as threshold); this keeps the brute-force oracle in the tests
-exact rather than approximate. The per-feature sort order is computed once
-per training run and maintained through splits by stable partition.
+boundary between distinct sorted feature values lo < hi is a candidate; the
+threshold is their midpoint, or lo when the midpoint rounds outside
+[lo, hi)); this keeps the brute-force oracle in the tests exact rather than
+approximate. The per-feature sort order is computed once per training run
+and maintained through splits by stable partition.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .corpus import Corpus, Qrels, QuerySet, tokenize
+from .corpus import Corpus, Qrels, QuerySet
 from .features import FeatureExtractor, FeatureMask
 from .ivf import Ranking
+from .metrics import gains, ideal_dcg, ndcg_at_k, rank_discount
 
 EPS = 1e-9
 LEAF_CLAMP = 100.0
@@ -161,40 +164,21 @@ def build_training_set(queries: QuerySet, qrels: Qrels,
     return LtrDataset(groups)
 
 
-def _gains(labels: np.ndarray) -> np.ndarray:
-    return np.power(2.0, labels.astype(np.float64)) - 1.0
-
-
-def ideal_dcg(labels, truncation: int) -> float:
-    g = np.sort(_gains(np.asarray(labels)))[::-1][:truncation]
-    ranks = np.arange(1, g.shape[0] + 1, dtype=np.float64)
-    return float(np.sum(g / np.log2(1.0 + ranks)))
-
-
-def _ranks_from_scores(scores: np.ndarray, tie_ids: np.ndarray | None = None) -> np.ndarray:
-    """1-based ranks under (score desc, tie id asc); index order breaks
-    remaining ties."""
+def _score_order(scores: np.ndarray, tie_ids: np.ndarray | None) -> np.ndarray:
+    """Document indices under (score desc, tie id asc, index asc)."""
     n = scores.shape[0]
     if tie_ids is None:
         tie_ids = np.arange(n)
-    order = np.lexsort((np.arange(n), tie_ids, -scores))
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(1, n + 1)
-    return ranks
+    return np.lexsort((np.arange(n), tie_ids, -scores))
 
 
 def ndcg_from_scores(scores: np.ndarray, labels: np.ndarray, k: int,
                      tie_ids: np.ndarray | None = None) -> float:
     """Truncated nDCG of the ordering induced by scores; 0 when no document
     has a positive gain."""
-    idcg = ideal_dcg(labels, k)
-    if idcg == 0.0:
-        return 0.0
-    ranks = _ranks_from_scores(np.asarray(scores, dtype=np.float64), tie_ids)
-    within = ranks <= k
-    g = _gains(np.asarray(labels))[within]
-    r = ranks[within].astype(np.float64)
-    return float(np.sum(g / np.log2(1.0 + r)) / idcg)
+    labels = np.asarray(labels)
+    order = _score_order(np.asarray(scores, dtype=np.float64), tie_ids)
+    return ndcg_at_k(labels[order], labels, k)
 
 
 def compute_lambdas(scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0,
@@ -222,9 +206,10 @@ def compute_lambdas(scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0,
     canon = np.argsort(np.asarray(tie_ids), kind="stable")
     scores_c = scores[canon]
     labels_c = labels[canon]
-    ranks = _ranks_from_scores(scores_c, np.asarray(tie_ids)[canon])
-    g = _gains(labels_c)
-    disc = np.where(ranks <= truncation, 1.0 / np.log2(1.0 + ranks), 0.0)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[_score_order(scores_c, np.asarray(tie_ids)[canon])] = np.arange(1, n + 1)
+    g = gains(labels_c)
+    disc = np.where(ranks <= truncation, 1.0 / rank_discount(ranks), 0.0)
     delta = np.abs(g[:, None] - g[None, :]) * np.abs(disc[:, None] - disc[None, :]) / idcg
     better = labels_c[:, None] > labels_c[None, :]
     with np.errstate(over="ignore"):

@@ -1,9 +1,14 @@
 """Ranking metrics, TREC run file I/O, and paired significance testing.
 
 nDCG uses exponential gain (2^grade - 1) and a log2(1 + rank) discount by
-default; a linear-gain variant is available. The Student-t CDF needed for
-the paired t-test is implemented here via the regularized incomplete beta
-continued fraction, so there is no external stats dependency.
+default; a linear-gain variant is available. This module is the one
+definition of gain, DCG and nDCG: evaluation and LambdaMART training (its
+lambdas and early stopping) both call it, and a DCG is always summed in
+rank order, so an nDCG depends only on the ranked grade list.
+
+The Student-t CDF needed for the paired t-test is implemented here via the
+regularized incomplete beta continued fraction, so there is no external
+stats dependency.
 """
 
 from __future__ import annotations
@@ -17,16 +22,27 @@ import numpy as np
 from .corpus import Qrels
 
 
-def _gain(grade: float, exponential: bool) -> float:
-    return (2.0 ** grade - 1.0) if exponential else float(grade)
+def gains(grades, exponential: bool = True) -> np.ndarray:
+    """Per-document gain: 2^grade - 1, or the grade itself when linear."""
+    g = np.asarray(grades, dtype=np.float64)
+    return np.power(2.0, g) - 1.0 if exponential else g
+
+
+def rank_discount(ranks) -> np.ndarray:
+    """log2(1 + rank), the DCG divisor of each 1-based rank."""
+    return np.log2(1.0 + np.asarray(ranks, dtype=np.float64))
 
 
 def dcg_at_k(grades, k: int, exponential: bool = True) -> float:
-    """Discounted cumulative gain of a ranked grade list, truncated at k."""
-    total = 0.0
-    for r, g in enumerate(grades[:k], start=1):
-        total += _gain(g, exponential) / math.log2(1.0 + r)
-    return total
+    """Discounted cumulative gain of a ranked grade list, truncated at k and
+    summed in rank order."""
+    g = gains(grades[:k], exponential)
+    return float(np.sum(g / rank_discount(np.arange(1, g.shape[0] + 1))))
+
+
+def ideal_dcg(grades, k: int, exponential: bool = True) -> float:
+    """DCG@k of the grades sorted best first."""
+    return dcg_at_k(np.sort(np.asarray(grades))[::-1], k, exponential)
 
 
 def ndcg_at_k(ranked_grades, all_grades, k: int, exponential: bool = True) -> float:
@@ -34,7 +50,7 @@ def ndcg_at_k(ranked_grades, all_grades, k: int, exponential: bool = True) -> fl
     the query has no relevant document."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ideal = dcg_at_k(sorted(all_grades, reverse=True), k, exponential)
+    ideal = ideal_dcg(all_grades, k, exponential)
     if ideal == 0.0:
         return 0.0
     return dcg_at_k(ranked_grades, k, exponential) / ideal

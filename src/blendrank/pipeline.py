@@ -19,11 +19,11 @@ import numpy as np
 
 from .corpus import Corpus, InvertedIndex, Qrels, QuerySet
 from .embeddings import EmbeddingMatrix, toy_encode
-from .features import FeatureExtractor, make_mask
+from .features import FeatureExtractor, FeatureRegistry, make_mask
 from .ivf import IvfIndex, Ranking, search
 from .ltr import (Ensemble, LtrDataset, TrainParams,
                   build_training_set, random_search_tune, train)
-from .metrics import MetricReport, RunList, evaluate_run
+from .metrics import RunList, evaluate_run
 from .scorer import CompiledEnsemble, compile_ensemble, score_batch
 
 
@@ -264,6 +264,25 @@ def build_blended_datasets(pipeline: Pipeline, train_queries: QuerySet,
     return full_train, full_valid
 
 
+def train_variant(full_train: LtrDataset, full_valid: LtrDataset,
+                  registry: FeatureRegistry, variant: str, params: TrainParams,
+                  tune_trials: int = 0, seed: int = 0,
+                  tune_ranges: dict | None = None) -> Ensemble:
+    """Fit one feature-mask variant on unmasked datasets: select the mask's
+    columns, optionally random-search the parameters, train, and record the
+    registry the model's features follow."""
+    mask = make_mask(registry, variant)
+    train_ds = full_train.select_columns(mask.included)
+    valid_ds = full_valid.select_columns(mask.included)
+    if tune_trials > 0:
+        params = random_search_tune(train_ds, valid_ds, tune_trials, seed,
+                                    base=params, **(tune_ranges or {}))
+    ensemble = train(train_ds, valid_ds, params, mask)
+    ensemble.metadata["registry_dim"] = registry.dim
+    ensemble.metadata["registry_lexical"] = registry.lexical_count
+    return ensemble
+
+
 def train_variants(pipeline: Pipeline, train_queries: QuerySet,
                    valid_queries: QuerySet, qrels: Qrels,
                    variants=("full", "lexical", "dense"),
@@ -273,23 +292,11 @@ def train_variants(pipeline: Pipeline, train_queries: QuerySet,
     """Train one model per feature-mask variant over a shared candidate and
     feature construction, so the variants differ only in mask and trees."""
     params = params or TrainParams()
-    registry = pipeline.extractor.registry
     full_train, full_valid = build_blended_datasets(
         pipeline, train_queries, valid_queries, qrels, n_neg, seed)
-    out = {}
-    for variant in variants:
-        mask = make_mask(registry, variant)
-        train_ds = full_train.select_columns(mask.included)
-        valid_ds = full_valid.select_columns(mask.included)
-        chosen = params
-        if tune_trials > 0:
-            chosen = random_search_tune(train_ds, valid_ds, tune_trials, seed,
-                                        base=params, **(tune_ranges or {}))
-        ensemble = train(train_ds, valid_ds, chosen, mask)
-        ensemble.metadata["registry_dim"] = registry.dim
-        ensemble.metadata["registry_lexical"] = registry.lexical_count
-        out[variant] = ensemble
-    return out
+    return {variant: train_variant(full_train, full_valid, pipeline.extractor.registry,
+                                   variant, params, tune_trials, seed, tune_ranges)
+            for variant in variants}
 
 
 def train_pipeline(pipeline: Pipeline, train_queries: QuerySet,

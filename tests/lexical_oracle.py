@@ -12,11 +12,21 @@ from blendrank.features import (BM25_B, BM25_K1, LEXICAL_COUNT, LM_MU,
                                 _proximity_triple, _QueryContext)
 
 
+def positions(index: InvertedIndex, term: str, internal_id: int) -> np.ndarray:
+    """The term's sorted positions in one document; empty when absent."""
+    p = index.posting(term)
+    if p is not None:
+        k = int(np.searchsorted(p[0], internal_id))
+        if k < p[0].shape[0] and p[0][k] == internal_id:
+            return index.run(term, k)
+    return np.empty(0, dtype=np.int32)
+
+
 def _bigram_hits(index: InvertedIndex, ctx: _QueryContext, internal_id: int) -> float:
     hits = 0
     for a_tok, b_tok in ctx.bigrams:
-        pa = index.positions(a_tok, internal_id)
-        pb = index.positions(b_tok, internal_id)
+        pa = positions(index, a_tok, internal_id)
+        pb = positions(index, b_tok, internal_id)
         if len(pa) and len(pb):
             hits += int(np.intersect1d(pa + 1, pb).shape[0])
     return float(hits)

@@ -8,7 +8,7 @@ from blendrank.corpus import (Corpus, build_inverted_index, load_collection,
                               save_inverted_index, tokenize)
 from blendrank.features import DEFAULT_LEXICAL_NAMES
 from blendrank.synthetic import make_synthetic
-from lexical_oracle import extract_lexical
+from lexical_oracle import extract_lexical, positions
 
 
 class TestTokenize:
@@ -115,9 +115,9 @@ class TestInvertedIndex:
 
     def test_positions(self):
         idx = build_inverted_index(self.corpus())
-        assert idx.positions("a", 0).tolist() == [0, 2]
-        assert idx.positions("b", 0).tolist() == [1]
-        assert idx.positions("a", 1).tolist() == []
+        assert positions(idx, "a", 0).tolist() == [0, 2]
+        assert positions(idx, "b", 0).tolist() == [1]
+        assert positions(idx, "a", 1).tolist() == []
 
     def test_single_empty_doc(self):
         idx = build_inverted_index(Corpus(["d0"], [""]))
@@ -171,7 +171,7 @@ class TestInvertedIndex:
         loaded = load_inverted_index(path)
         assert loaded.df == idx.df and loaded.cf == idx.cf
         assert loaded.doc_len.tolist() == idx.doc_len.tolist()
-        assert loaded.positions("a", 0).tolist() == [0, 2]
+        assert positions(loaded, "a", 0).tolist() == [0, 2]
         assert loaded.stemmed == idx.stemmed
 
     def test_loaded_copy_has_bitwise_equal_norms(self, tmp_path):

@@ -5,8 +5,19 @@ import struct
 import numpy as np
 import pytest
 
-from blendrank.embeddings import (EmbeddingMatrix, cosine, load_embeddings,
+from blendrank.corpus import Corpus, build_inverted_index
+from blendrank.embeddings import (EmbeddingMatrix, load_embeddings,
                                   save_embeddings, toy_encode)
+from blendrank.features import FeatureExtractor
+
+
+def served_cosine(q, d) -> float:
+    """The cosine feature the cascade computes between a query vector and
+    one stored (f32) document row."""
+    rows = np.asarray([d], dtype=np.float32)
+    ex = FeatureExtractor(build_inverted_index(Corpus(["d0"], ["x"])), EmbeddingMatrix(rows))
+    cos, _ = ex.cosine_ranks(np.asarray(q, dtype=np.float64), np.array([0]))
+    return float(cos[0])
 
 
 class TestStorage:
@@ -78,29 +89,34 @@ class TestToyEncode:
         ab = toy_encode("a b", 64, 7)
         ac = toy_encode("a c", 64, 7)
         xy = toy_encode("x y", 64, 7)
-        assert cosine(ab, ac) > cosine(ab, xy)
+        def cos(u, v):
+            return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+        assert cos(ab, ac) > cos(ab, xy)
 
     def test_seed_changes_encoding(self):
         assert not np.allclose(toy_encode("abc", 16, 1), toy_encode("abc", 16, 2))
 
 
 class TestCosine:
+    """The served cosine (`FeatureExtractor.cosine_ranks`) in f64 over f32 rows."""
+
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            v = rng.normal(size=6)
-            assert abs(cosine(v, v) - 1.0) < 1e-12
+            v = rng.normal(size=6).astype(np.float32)
+            assert abs(served_cosine(v, v) - 1.0) < 1e-12
 
     def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert served_cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_analytic_45_degrees(self):
-        got = cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+        got = served_cosine([1.0, 1.0], [1.0, 0.0])
         assert abs(got - 0.7071067812) < 1e-9
 
     def test_zero_vector_gives_zero(self):
-        assert cosine(np.zeros(3), np.ones(3)) == 0.0
+        assert served_cosine(np.zeros(3), np.ones(3)) == 0.0
+        assert served_cosine(np.ones(3), np.zeros(3)) == 0.0
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            cosine(np.ones(3), np.ones(4))
+        with pytest.raises(ValueError):
+            served_cosine(np.ones(4), np.ones(3))

@@ -250,9 +250,6 @@ class TestRegistryAndBlend:
         assert reg.name(3 * 2 + 1) == "rank"
         assert reg.family(3 * 2 + 2) == "lexical"
 
-    def test_registry_json(self):
-        assert '"cosine"' in build_registry(2).to_json()
-
 
 class TestMasks:
     """Variants select columns of feature_matrix, as the cascade does."""

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blendrank.corpus import Corpus, Qrels, QuerySet, build_inverted_index
 from blendrank.embeddings import EmbeddingMatrix
@@ -13,9 +15,10 @@ from blendrank.features import FeatureExtractor
 from blendrank.ivf import Ranking
 from blendrank.ltr import (Ensemble, LtrDataset, LtrGroup, TrainParams,
                            build_training_set, compute_lambdas,
-                           feature_gains, fit_tree, ideal_dcg, load_model,
+                           feature_gains, fit_tree, load_model,
                            ndcg_from_scores, random_search_tune, save_model,
                            train, write_train_log, EPS, LEAF_CLAMP)
+from blendrank.metrics import ideal_dcg, ndcg_at_k
 
 
 # ----------------------------------------------------------------------------
@@ -509,6 +512,36 @@ class TestNdcgFromScores:
     def test_ideal_dcg_zero_for_all_zero_labels(self):
         assert ideal_dcg([0, 0, 0], 10) == 0.0
         assert ndcg_from_scores(np.array([1.0, 2.0]), np.array([0, 0]), 10) == 0.0
+
+    def test_swapping_equal_grades_keeps_the_value(self):
+        # Both orders rank the grades as [2, 3, 1, 1, 3, 0]; summing the DCG
+        # in document order gives 0.8049456957413256 for one and ...255 for
+        # the other, so a tree that only reorders equal grades would count
+        # as an improvement in early stopping.
+        labels = np.array([2, 3, 1, 1, 3, 0])
+        a = ndcg_from_scores(np.array([6.0, 5, 4, 3, 2, 1]), labels, 10)
+        b = ndcg_from_scores(np.array([6.0, 5, 3, 4, 2, 1]), labels, 10)
+        assert a == b == ndcg_at_k([2, 3, 1, 1, 3, 0], labels, 10)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 25), k=st.integers(1, 12))
+    def test_is_metrics_ndcg_of_the_ranked_grades(self, data, n, k):
+        labels = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        scores = np.array(data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)),
+                          dtype=np.float64)
+        tie_ids = np.array(data.draw(st.permutations(range(n))))
+        order = np.lexsort((np.arange(n), tie_ids, -scores))
+        got = ndcg_from_scores(scores, labels, k, tie_ids)
+        assert got == ndcg_at_k(labels[order], labels, k)
+        # Two equal-grade documents trading scores leave the ranked grades,
+        # and so the value, unchanged.
+        i, j = data.draw(st.sampled_from([(i, j) for i in range(n) for j in range(n)]))
+        if labels[i] == labels[j]:
+            swapped = scores.copy()
+            swapped[[i, j]] = scores[[j, i]]
+            swapped_ids = tie_ids.copy()
+            swapped_ids[[i, j]] = tie_ids[[j, i]]
+            assert ndcg_from_scores(swapped, labels, k, swapped_ids) == got
 
 
 class TestRandomSearch:

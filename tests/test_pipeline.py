@@ -467,6 +467,35 @@ class TestCli:
         import json
         assert json.loads(a)["trees"] == json.loads(b)["trees"]
 
+    def test_both_train_paths_write_identical_model_files(self, workspace, tmp_path):
+        out = workspace
+        self._query_slice(out, "train", tmp_path / "qe-train.crem")
+        self._query_slice(out, "valid", tmp_path / "qe-valid.crem")
+        common = ["--collection", f"{out}/collection.tsv",
+                  "--lexical-index", f"{out}/index.crix",
+                  "--dense-index", f"{out}/index.criv",
+                  "--doc-embeddings", f"{out}/doc_embeddings.crem",
+                  "--k-first", "150", "--rerank-cutoff", "150", "--k-final", "150",
+                  "--train-queries", f"{out}/queries-train.tsv",
+                  "--valid-queries", f"{out}/queries-valid.tsv",
+                  "--train-query-embeddings", str(tmp_path / "qe-train.crem"),
+                  "--valid-query-embeddings", str(tmp_path / "qe-valid.crem"),
+                  "--qrels", f"{out}/qrels.txt", "--seed", "3"]
+        params = ["--mask-variant", "lexical", "--num-leaves", "8",
+                  "--min-sum-hessian", "0", "--min-data-leaf", "5",
+                  "--patience", "3", "--max-trees", "5", "--seed", "3"]
+        assert cli_main(["train", *common, *params,
+                         "--out", str(tmp_path / "direct.json")]) == 0
+        assert cli_main(["build-train", *common,
+                         "--train-out", str(tmp_path / "train.npz"),
+                         "--valid-out", str(tmp_path / "valid.npz")]) == 0
+        assert cli_main(["train", "--train-data", str(tmp_path / "train.npz"),
+                         "--valid-data", str(tmp_path / "valid.npz"), *params,
+                         "--out", str(tmp_path / "from-npz.json")]) == 0
+        direct = (tmp_path / "direct.json").read_bytes()
+        assert b'"registry_lexical"' in direct
+        assert (tmp_path / "from-npz.json").read_bytes() == direct
+
     def test_encode_toy_and_convert(self, tmp_path):
         src = tmp_path / "texts.tsv"
         src.write_text("a\thello world\nb\tgoodbye\n")
