@@ -190,8 +190,7 @@ class InvertedIndex:
     postings maps term -> (ids, tfs, positions) where ids is a sorted int64
     array of internal document ids, tfs the matching term frequencies, and
     positions the postings' sorted int32 position runs laid end to end, as
-    CRIX1 stores them: posting k's run holds tfs[k] positions and is read
-    with `run(term, k)`.
+    CRIX1 stores them: posting k's run holds tfs[k] positions.
     """
 
     def __init__(self, postings: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -227,11 +226,6 @@ class InvertedIndex:
 
     def posting(self, term: str):
         return self.postings.get(term)
-
-    def run(self, term: str, k: int) -> np.ndarray:
-        """The sorted positions of the term's k-th posting."""
-        bounds = self.run_bounds[term]
-        return self.postings[term][2][bounds[k]:bounds[k + 1]]
 
 
 def build_inverted_index(corpus: Corpus, stem: bool = False) -> InvertedIndex:

@@ -12,7 +12,8 @@ ordering, and the lexical feature catalog (L values). Total length is
 
 The lexical catalog covers term-level statistics aggregated over query
 terms, whole-match scores (BM25, Dirichlet language model), and positional
-proximity. Aggregation is over unique query terms; query length counts
+proximity, each computed for all candidates at once, with no loop over
+documents. Aggregation is over unique query terms; query length counts
 tokens with duplicates.
 """
 
@@ -161,64 +162,68 @@ class _QueryContext:
         self.bigrams = list(zip(self.tokens, self.tokens[1:]))
 
 
-def _min_cover_window(position_lists: list[np.ndarray]) -> int:
-    """Length of the shortest document span containing every term at least once."""
-    merged = []
-    for label, plist in enumerate(position_lists):
-        merged.extend((int(p), label) for p in plist)
-    merged.sort()
-    need = len(position_lists)
-    counts = [0] * need
-    covered = 0
-    best = -1
-    left = 0
-    for right in range(len(merged)):
-        lab = merged[right][1]
-        counts[lab] += 1
-        if counts[lab] == 1:
-            covered += 1
-        while covered == need:
-            span = merged[right][0] - merged[left][0] + 1
-            if best < 0 or span < best:
-                best = span
-            lab_l = merged[left][1]
-            counts[lab_l] -= 1
-            if counts[lab_l] == 0:
-                covered -= 1
-            left += 1
-    return best
+def _positional_features(index: InvertedIndex, ctx: _QueryContext, match_pos: np.ndarray,
+                         dl: np.ndarray, matched: np.ndarray, out: np.ndarray) -> None:
+    """Fill the window, pair-distance, bigram and within-window columns.
 
+    Each matched term's runs in all candidates become one sorted array of
+    keys slot * stride + position. stride exceeds every position + 1, so
+    key + 1 never crosses into the next slot, and two keys share a slot
+    exactly when they share key // stride. All of it is integer arithmetic.
+    """
+    n = out.shape[0]
+    stride = int(dl.max(initial=0.0)) + 1
+    runs = {}  # term index -> (keys, slots, where each slot's run starts in keys)
+    for t_i, (term, ks) in enumerate(zip(ctx.terms, match_pos)):
+        slots = np.flatnonzero(ks >= 0)
+        if slots.shape[0]:
+            bounds = index.run_bounds[term]
+            starts, lens = bounds[ks[slots]], bounds[ks[slots] + 1] - bounds[ks[slots]]
+            offsets = np.cumsum(lens) - lens
+            idx = np.repeat(starts - offsets, lens) + np.arange(lens.sum())
+            runs[t_i] = (np.repeat(slots * stride, lens) + index.postings[term][2][idx],
+                         slots, offsets)
+    for ia, ib in ((ctx.terms.index(a), ctx.terms.index(b)) for a, b in ctx.bigrams):
+        if ia in runs and ib in runs:
+            ka, kb = runs[ia][0] + 1, runs[ib][0]
+            nxt = kb[np.minimum(np.searchsorted(kb, ka), kb.shape[0] - 1)]
+            out[:, 34] += np.bincount(ka[nxt == ka] // stride, minlength=n)
 
-def _min_pair_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Minimum |pa - pb| over occurrence pairs of two sorted position arrays."""
-    i = j = 0
-    best = None
-    while i < len(a) and j < len(b):
-        d = abs(int(a[i]) - int(b[j]))
-        if best is None or d < best:
-            best = d
-        if a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return best
+    out[:, 32] = dl + 1.0
+    out[:, 33] = dl
+    multi = matched >= 2
+    if not multi.any():
+        return
+    far = np.iinfo(np.int64).max
+    dist_sum, within = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    terms = list(runs.values())
+    for i, (ka, slots, offsets) in enumerate(terms):
+        sa = ka // stride
+        for kb, _, _ in terms[i + 1:]:
+            j = np.searchsorted(kb, ka)
+            hi, lo = kb[np.minimum(j, kb.shape[0] - 1)], kb[np.maximum(j - 1, 0)]
+            d = np.minimum.reduceat(np.minimum(np.where(hi // stride == sa, np.abs(hi - ka), far),
+                                               np.where(lo // stride == sa, np.abs(lo - ka), far)),
+                                    offsets)
+            both = d < far
+            dist_sum[slots[both]] += d[both]
+            within[slots[both]] += d[both] <= PAIR_WINDOW
+    out[multi, 33] = dist_sum[multi] / (matched * (matched - 1) / 2)[multi]
+    out[multi, 35] = within[multi]
 
-
-def _proximity_triple(plists: list[np.ndarray], dl: int):
-    """(min cover window, mean min pair distance, pairs within the window)."""
-    matched = len(plists)
-    if matched < 2:
-        return float(dl + 1), float(dl), 0.0
-    window = float(_min_cover_window(plists))
-    dists = []
-    within = 0
-    for a in range(matched):
-        for b in range(a + 1, matched):
-            d = _min_pair_distance(plists[a], plists[b])
-            dists.append(d)
-            if d <= PAIR_WINDOW:
-                within += 1
-    return window, sum(dists) / len(dists), float(within)
+    # A cover from occurrence p reaches each of the document's terms at or after p.
+    occ = np.sort(np.concatenate([k for k, _, _ in terms]))
+    occ = occ[multi[occ // stride]]
+    occ_slot = occ // stride
+    window = np.ones_like(occ)
+    for t_i, (kt, _, _) in runs.items():
+        j = np.searchsorted(kt, occ)
+        nxt = kt[np.minimum(j, kt.shape[0] - 1)]
+        span = np.where((j < kt.shape[0]) & (nxt // stride == occ_slot), nxt - occ + 1,
+                        np.where(match_pos[t_i, occ_slot] >= 0, far, 0))
+        np.maximum(window, span, out=window)
+    first = np.flatnonzero(np.concatenate(([True], occ_slot[1:] != occ_slot[:-1])))
+    out[occ_slot[first], 32] = np.minimum.reduceat(window, first)
 
 
 def _lexical_features_batch(index: InvertedIndex, ctx: _QueryContext,
@@ -228,10 +233,8 @@ def _lexical_features_batch(index: InvertedIndex, ctx: _QueryContext,
     Term statistics and whole-match scores are computed as (terms x docs)
     arrays with the same elementwise operations as the per-document oracle
     in tests/lexical_oracle.py (term-order accumulation keeps the sums
-    bitwise identical); only the
-    positional features loop over documents, and only over those with at
-    least two matched terms or a matched bigram. They read each matched
-    posting's positions by its index (`match_pos`), found once per term.
+    bitwise identical). The positional features read each matched posting's
+    positions by its index (`match_pos`), found once per term.
     """
     n = doc_ids.shape[0]
     out = np.zeros((n, LEXICAL_COUNT), dtype=np.float64)
@@ -297,25 +300,7 @@ def _lexical_features_batch(index: InvertedIndex, ctx: _QueryContext,
     denom_ok = (ctx.query_norm > 0) & (doc_norm > 0)
     out[denom_ok, 31] = dot[denom_ok] / (ctx.query_norm * doc_norm[denom_ok])
 
-    out[:, 32] = dl + 1.0
-    out[:, 33] = dl
-    for r in np.flatnonzero(matched >= 2):
-        plists = [index.run(term, k) for term, k in zip(ctx.terms, match_pos[:, r]) if k >= 0]
-        out[r, 32], out[r, 33], out[r, 35] = _proximity_triple(plists, int(dl[r]))
-    if ctx.bigrams:
-        term_pos = {t: i for i, t in enumerate(ctx.terms)}
-        pairs = [(term_pos[a_tok], term_pos[b_tok]) for a_tok, b_tok in ctx.bigrams]
-        maybe = np.zeros(n, dtype=bool)
-        for ia, ib in pairs:
-            maybe |= (match_pos[ia] >= 0) & (match_pos[ib] >= 0)
-        for r in np.flatnonzero(maybe):
-            hits = 0
-            for ia, ib in pairs:
-                ka, kb = match_pos[ia, r], match_pos[ib, r]
-                if ka >= 0 and kb >= 0:
-                    hits += np.intersect1d(index.run(ctx.terms[ia], ka) + 1,
-                                           index.run(ctx.terms[ib], kb)).shape[0]
-            out[r, 34] = float(hits)
+    _positional_features(index, ctx, match_pos[:n_terms], dl, matched, out)
     return out
 
 

@@ -553,26 +553,38 @@ def feature_gains(ensemble: Ensemble) -> dict[int, float]:
     return gains
 
 
+_TREE_ARRAYS = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+                "right": np.int64, "value": np.float64, "gain": np.float64}
+
+
 def _tree_to_dict(t: RegressionTree) -> dict:
-    return {
-        "feature": t.feature.tolist(),
-        "threshold": t.threshold.tolist(),
-        "left": t.left.tolist(),
-        "right": t.right.tolist(),
-        "value": t.value.tolist(),
-        "gain": t.gain.tolist(),
-    }
+    return {name: getattr(t, name).tolist() for name in _TREE_ARRAYS}
 
 
 def _tree_from_dict(d: dict) -> RegressionTree:
-    return RegressionTree(
-        np.array(d["feature"], dtype=np.int64),
-        np.array(d["threshold"], dtype=np.float64),
-        np.array(d["left"], dtype=np.int64),
-        np.array(d["right"], dtype=np.int64),
-        np.array(d["value"], dtype=np.float64),
-        np.array(d["gain"], dtype=np.float64),
-    )
+    return RegressionTree(**{name: np.array(d[name], dtype=dtype)
+                             for name, dtype in _TREE_ARRAYS.items()})
+
+
+def _tree_fault(tree: RegressionTree, feature_count: int) -> str | None:
+    """Why the arrays are not a tree laid out as the learner lays it out, or
+    None. Children after their parent, and one parent per node but the root,
+    rule out cycles and unreachable nodes."""
+    f, left, right = tree.feature, tree.left, tree.right
+    n = f.shape[0]
+    if n == 0 or any(getattr(tree, name).shape != (n,) for name in _TREE_ARRAYS):
+        return "node arrays are empty or of unequal lengths"
+    leaf, own = f == -1, np.arange(n)
+    if np.any(leaf & ((left != -1) | (right != -1))):
+        return "a leaf (feature -1) must have left = right = -1"
+    inner = ~leaf
+    if np.any(inner & ((f < 0) | (f >= feature_count) | (left <= own) | (right != left + 1)
+                       | (right >= n))):
+        return (f"an internal node needs 0 <= feature < {feature_count}, "
+                "left > its own index and right = left + 1 < n_nodes")
+    if np.any(np.bincount(np.concatenate((left[inner], right[inner])), minlength=n)[1:] != 1):
+        return "every node but the root must be the child of exactly one node"
+    return None
 
 
 def save_model(ensemble: Ensemble, path) -> None:
@@ -599,8 +611,13 @@ def load_model(path) -> Ensemble:
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     included = doc.get("mask_included")
+    trees = [_tree_from_dict(d) for d in doc["trees"]]
+    for i, tree in enumerate(trees):
+        fault = _tree_fault(tree, doc["feature_count"])
+        if fault:
+            raise ValueError(f"{path}: tree {i}: {fault}")
     return Ensemble(
-        [_tree_from_dict(d) for d in doc["trees"]],
+        trees,
         doc["learning_rate"],
         doc["feature_count"],
         doc.get("mask_variant", "full"),

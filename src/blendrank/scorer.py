@@ -1,32 +1,38 @@
 """Exact forest scoring: find every (row, tree) exit leaf, then sum in tree order.
 
 Every tree's node arrays are concatenated into one flat forest, with each
-tree's root at a known offset. A leaf points to itself on both sides and
-its threshold is +inf, so a pair that has reached its exit leaf stays there
-if it is stepped again.
+tree's root at a known offset. The learner puts every right child right
+after its left child, and `compile_ensemble` requires it, so the left child
+is `right - 1` and one step is a gather and a subtract, with no select:
 
-`exit_leaves` walks one flat (rows * trees) node vector from the roots, one
-level per step, in two phases:
+    node = right[node] - (x[feature[node]] <= threshold[node])
+
+value <= threshold descends left; anything else, NaN included, descends
+right. A leaf points to itself and has threshold NaN, and `x <= NaN` is
+False for every x, so a leaf is a fixed point of the step and a pair is
+live while `right[node] != node`.
+
+`exit_leaves` first steps every pair from its root at once, reading each
+root's column for all rows, then walks one flat (rows * trees) node vector
+one level per step, in two phases:
 
 - dense: while at least half the pairs are still at internal nodes, every
-  pair takes the predicated step `x[feature] <= threshold ? left : right`,
-  branch-free over the whole vector (VPred, Asadi et al., TKDE 2014);
+  pair takes the step, branch-free over the whole vector (VPred, Asadi et
+  al., TKDE 2014);
 - active: once fewer than half are live, only the live pairs are stepped,
   and after each step those that reached a leaf are dropped, until none is
   left. Most pairs exit well above the forest's depth, which is the fact
   QuickScorer (Lucchese et al., SIGIR 2015) also relies on.
 
 The switch is taken once, from the live count each step computes anyway.
-A forest whose pairs never fall below half live stays dense to its depth.
-Neither phase needs that depth: every pair reaches its leaf within it, and
-then no pair is live.
+Neither phase needs the forest's depth: every pair reaches its leaf within
+it, and then no pair is live.
 
 The contract is exact equality with naive traversal (`Ensemble.score_batch`),
-bit for bit. Both phases apply the same predicate to the same pairs: value
-<= threshold descends left and anything else, NaN included, descends right,
-and a leaf is a fixed point of the step, so the exit leaves do not depend on
-where the switch falls. `score_batch` then adds learning_rate * weight tree
-by tree, in tree order, which is the same summation order.
+bit for bit. Every phase applies the same predicate, and a leaf is a fixed
+point, so the exit leaves do not depend on where the switch falls.
+`score_batch` then adds learning_rate * weight tree by tree, in tree order,
+which is the same summation order.
 """
 
 from __future__ import annotations
@@ -45,12 +51,11 @@ class FeatureThresholds(NamedTuple):
 class CompiledEnsemble:
     """All trees of an Ensemble as one flat forest; immutable and reentrant."""
 
-    def __init__(self, feature: np.ndarray, threshold: np.ndarray, left: np.ndarray,
-                 right: np.ndarray, value: np.ndarray, roots: np.ndarray,
-                 learning_rate: float, feature_count: int):
+    def __init__(self, feature: np.ndarray, threshold: np.ndarray, right: np.ndarray,
+                 value: np.ndarray, roots: np.ndarray, learning_rate: float,
+                 feature_count: int):
         self.feature = feature
         self.threshold = threshold
-        self.left = left
         self.right = right
         self.value = value
         self.roots = roots
@@ -64,7 +69,7 @@ class CompiledEnsemble:
     @property
     def conditions(self) -> dict[int, FeatureThresholds]:
         """Sorted internal-node thresholds of the forest, per feature."""
-        internal = self.left != np.arange(self.left.shape[0])
+        internal = self.right != np.arange(self.right.shape[0])
         feats = self.feature[internal]
         thresholds = self.threshold[internal]
         return {int(f): FeatureThresholds(np.sort(thresholds[feats == f]))
@@ -72,7 +77,8 @@ class CompiledEnsemble:
 
 
 def compile_ensemble(ensemble: Ensemble) -> CompiledEnsemble:
-    """Concatenate every tree into one flat forest of self-looping leaves."""
+    """Concatenate every tree into one flat forest of self-looping NaN leaves;
+    ValueError unless each right child directly follows its left sibling."""
     trees = ensemble.trees
     sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
     roots = np.cumsum(sizes) - sizes
@@ -81,14 +87,13 @@ def compile_ensemble(ensemble: Ensemble) -> CompiledEnsemble:
         parts = [getattr(t, name) for t in trees]
         return np.concatenate([np.zeros(0, dtype)] + parts).astype(dtype)
 
-    feature = flat("feature", np.int64)
+    feature, left, right = (flat(name, np.int64) for name in ("feature", "left", "right"))
     leaf = feature < 0
-    own = np.arange(feature.shape[0])
-    base = np.repeat(roots, sizes)
-    left = np.where(leaf, own, flat("left", np.int64) + base)
-    right = np.where(leaf, own, flat("right", np.int64) + base)
-    threshold = np.where(leaf, np.inf, flat("threshold", np.float64))
-    return CompiledEnsemble(np.where(leaf, 0, feature), threshold, left, right,
+    if np.any(right[~leaf] != left[~leaf] + 1):
+        raise ValueError("every internal node's right child must follow its left child")
+    right = np.where(leaf, np.arange(feature.shape[0]), right + np.repeat(roots, sizes))
+    threshold = np.where(leaf, np.nan, flat("threshold", np.float64))
+    return CompiledEnsemble(np.where(leaf, 0, feature), threshold, right,
                             flat("value", np.float64), roots,
                             ensemble.learning_rate, ensemble.feature_count)
 
@@ -101,27 +106,26 @@ def exit_leaves(compiled: CompiledEnsemble, matrix) -> np.ndarray:
     n, n_trees = X.shape[0], compiled.n_trees
     if n == 0 or n_trees == 0:
         return np.zeros((n, n_trees), dtype=np.int64)
+    feature, threshold, right, roots = (compiled.feature, compiled.threshold,
+                                        compiled.right, compiled.roots)
+    node = (right[roots] - (X[:, feature[roots]] <= threshold[roots])).ravel()
     flat = np.ascontiguousarray(X).ravel()
-    feature, threshold = compiled.feature, compiled.threshold
-    left, right = compiled.left, compiled.right
     row_base = np.repeat(np.arange(n, dtype=np.int64) * X.shape[1], n_trees)
-    node = np.tile(compiled.roots, n)
-    node_left = left[node]
-    live = node_left != node
+    node_right = right[node]
+    live = node_right != node
     while 2 * np.count_nonzero(live) >= live.shape[0]:
-        go_left = flat[row_base + feature[node]] <= threshold[node]
-        node = np.where(go_left, node_left, right[node])
-        node_left = left[node]
-        live = node_left != node
+        node = node_right - (flat[row_base + feature[node]] <= threshold[node])
+        node_right = right[node]
+        live = node_right != node
     act = np.flatnonzero(live)
-    act_base = row_base[act]
+    act_base, act_right = row_base[act], node_right[act]
     while act.shape[0]:
         at = node[act]
-        go_left = flat[act_base + feature[at]] <= threshold[at]
-        nxt = np.where(go_left, left[at], right[at])
+        nxt = act_right - (flat[act_base + feature[at]] <= threshold[at])
         node[act] = nxt
-        keep = left[nxt] != nxt
-        act, act_base = act[keep], act_base[keep]
+        nxt_right = right[nxt]
+        keep = nxt_right != nxt
+        act, act_base, act_right = act[keep], act_base[keep], nxt_right[keep]
     return node.reshape(n, n_trees)
 
 

@@ -8,8 +8,14 @@ bit for bit; the tests compare the two. Not a test module itself.
 import numpy as np
 
 from blendrank.corpus import InvertedIndex
-from blendrank.features import (BM25_B, BM25_K1, LEXICAL_COUNT, LM_MU,
-                                _proximity_triple, _QueryContext)
+from blendrank.features import (BM25_B, BM25_K1, LEXICAL_COUNT, LM_MU, PAIR_WINDOW,
+                                _QueryContext)
+
+
+def posting_run(index: InvertedIndex, term: str, k: int) -> np.ndarray:
+    """The sorted positions of the term's k-th posting."""
+    bounds = index.run_bounds[term]
+    return index.postings[term][2][bounds[k]:bounds[k + 1]]
 
 
 def positions(index: InvertedIndex, term: str, internal_id: int) -> np.ndarray:
@@ -18,8 +24,68 @@ def positions(index: InvertedIndex, term: str, internal_id: int) -> np.ndarray:
     if p is not None:
         k = int(np.searchsorted(p[0], internal_id))
         if k < p[0].shape[0] and p[0][k] == internal_id:
-            return index.run(term, k)
+            return posting_run(index, term, k)
     return np.empty(0, dtype=np.int32)
+
+
+def _min_cover_window(position_lists: list[np.ndarray]) -> int:
+    """Length of the shortest document span containing every term at least once."""
+    merged = []
+    for label, plist in enumerate(position_lists):
+        merged.extend((int(p), label) for p in plist)
+    merged.sort()
+    need = len(position_lists)
+    counts = [0] * need
+    covered = 0
+    best = -1
+    left = 0
+    for right in range(len(merged)):
+        lab = merged[right][1]
+        counts[lab] += 1
+        if counts[lab] == 1:
+            covered += 1
+        while covered == need:
+            span = merged[right][0] - merged[left][0] + 1
+            if best < 0 or span < best:
+                best = span
+            lab_l = merged[left][1]
+            counts[lab_l] -= 1
+            if counts[lab_l] == 0:
+                covered -= 1
+            left += 1
+    return best
+
+
+def _min_pair_distance(a: np.ndarray, b: np.ndarray) -> int:
+    """Minimum |pa - pb| over occurrence pairs of two sorted position arrays."""
+    i = j = 0
+    best = None
+    while i < len(a) and j < len(b):
+        d = abs(int(a[i]) - int(b[j]))
+        if best is None or d < best:
+            best = d
+        if a[i] < b[j]:
+            i += 1
+        else:
+            j += 1
+    return best
+
+
+def _proximity_triple(plists: list[np.ndarray], dl: int):
+    """(min cover window, mean min pair distance, pairs within the window)."""
+    matched = len(plists)
+    if matched < 2:
+        return float(dl + 1), float(dl), 0.0
+    window = float(_min_cover_window(plists))
+    dists = []
+    within = 0
+    for a in range(matched):
+        for b in range(a + 1, matched):
+            d = _min_pair_distance(plists[a], plists[b])
+            dists.append(d)
+            if d <= PAIR_WINDOW:
+                within += 1
+    return window, sum(dists) / len(dists), float(within)
 
 
 def _bigram_hits(index: InvertedIndex, ctx: _QueryContext, internal_id: int) -> float:
@@ -61,7 +127,7 @@ def lexical_features(index: InvertedIndex, ctx: _QueryContext,
             k = int(np.searchsorted(ids, internal_id))
             if k < ids.shape[0] and ids[k] == internal_id:
                 tf = int(pfs[k])
-                positions = index.run(ctx.terms[t_i], k)
+                positions = posting_run(index, ctx.terms[t_i], k)
         idf = ctx.idf[t_i]
         cf = ctx.cf[t_i]
         tf_f = float(tf)

@@ -8,7 +8,7 @@ from blendrank.corpus import (Corpus, build_inverted_index, load_collection,
                               save_inverted_index, tokenize)
 from blendrank.features import DEFAULT_LEXICAL_NAMES
 from blendrank.synthetic import make_synthetic
-from lexical_oracle import extract_lexical, positions
+from lexical_oracle import extract_lexical, positions, posting_run
 
 
 class TestTokenize:
@@ -143,7 +143,7 @@ class TestInvertedIndex:
         for term, (ids, tfs, pos) in idx.postings.items():
             assert int(tfs.sum()) == idx.cf[term] == len(pos)
             assert len(ids) == idx.df[term]
-            runs = [idx.run(term, k) for k in range(len(ids))]
+            runs = [posting_run(idx, term, k) for k in range(len(ids))]
             for run, tf in zip(runs, tfs):
                 assert len(run) == tf
                 assert np.all(np.diff(run) > 0)

@@ -488,6 +488,37 @@ class TestTrain:
         np.testing.assert_array_equal(ens.score_batch(X), loaded.score_batch(X))
         assert loaded.metadata["best_iteration"] == ens.metadata["best_iteration"]
 
+    @pytest.mark.parametrize("tree", [
+        # node 1 points back to node 0: a cycle
+        {"feature": [0, 0, -1], "left": [1, 0, -1], "right": [2, 1, -1]},
+        # children past the end of the node arrays
+        {"feature": [0, -1, -1], "left": [2, -1, -1], "right": [3, -1, -1]},
+        # a feature the model does not have
+        {"feature": [3, -1, -1], "left": [1, -1, -1], "right": [2, -1, -1]},
+        # right child not right after the left one
+        {"feature": [0, -1, -1, -1], "left": [1, -1, -1, -1], "right": [3, -1, -1, -1]},
+        # node 2 has two parents
+        {"feature": [0, 0, -1, -1], "left": [1, 2, -1, -1], "right": [2, 3, -1, -1]},
+        # a leaf with a child
+        {"feature": [0, -1, -1], "left": [1, 0, -1], "right": [2, -1, -1]},
+        # arrays of unequal lengths
+        {"feature": [0, -1, -1], "left": [1, -1, -1], "right": [2, -1]},
+    ], ids=["cycle", "child_out_of_range", "feature_out_of_range", "non_adjacent_children",
+            "two_parents", "leaf_with_child", "unequal_lengths"])
+    def test_malformed_tree_rejected_naming_file_and_tree(self, tmp_path, tree):
+        import json
+        good = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                "value": [0.5], "gain": [0.0]}
+        n = len(tree["feature"])
+        bad = {"threshold": [0.5] * n, "value": [0.0] * n, "gain": [0.0] * n, **tree}
+        path = tmp_path / "model.json"
+        save_model(Ensemble([], 0.1, 3), path)
+        doc = json.loads(path.read_text())
+        doc["trees"] = [good, bad]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"model\.json: tree 1: "):
+            load_model(path)
+
     def test_train_log_csv(self, tmp_path):
         ens = train(synthetic_dataset(15), synthetic_dataset(16), train_params())
         path = tmp_path / "log.csv"

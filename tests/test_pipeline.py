@@ -354,43 +354,50 @@ def workspace(tmp_path_factory):
                    "--out", f"{out}/index.criv", "--kmeans-iters", "5",
                    "--seed", "1"])
     assert rc == 0
+    for name in ("train", "valid", "test"):
+        query_slice(out, name, f"{out}/qe-{name}.crem")
+    return out
+
+
+def query_slice(workspace, name, path):
+    """Query embeddings are stored for the full set; slice per split."""
+    from blendrank.corpus import load_queries
+    from blendrank.embeddings import load_embeddings, save_embeddings, EmbeddingMatrix
+    all_q = load_queries(f"{workspace}/queries-train.tsv").query_ids \
+        + load_queries(f"{workspace}/queries-valid.tsv").query_ids \
+        + load_queries(f"{workspace}/queries-test.tsv").query_ids
+    emb = load_embeddings(f"{workspace}/query_embeddings.crem")
+    wanted = load_queries(f"{workspace}/queries-{name}.tsv").query_ids
+    pos = {q: i for i, q in enumerate(all_q)}
+    rows = np.vstack([emb.rows[pos[q]] for q in wanted])
+    save_embeddings(EmbeddingMatrix(rows), path)
+
+
+@pytest.fixture(scope="module")
+def trained_workspace(workspace):
+    """The workspace plus model.json, trained directly by the CLI."""
+    out = workspace
+    rc = cli_main([
+        "train", "--collection", f"{out}/collection.tsv",
+        "--lexical-index", f"{out}/index.crix",
+        "--dense-index", f"{out}/index.criv",
+        "--doc-embeddings", f"{out}/doc_embeddings.crem",
+        "--train-queries", f"{out}/queries-train.tsv",
+        "--valid-queries", f"{out}/queries-valid.tsv",
+        "--train-query-embeddings", f"{out}/qe-train.crem",
+        "--valid-query-embeddings", f"{out}/qe-valid.crem",
+        "--qrels", f"{out}/qrels.txt", "--out", f"{out}/model.json",
+        "--log", f"{out}/train.csv",
+        "--k-first", "150", "--rerank-cutoff", "150", "--k-final", "150",
+        "--num-leaves", "8", "--min-sum-hessian", "0", "--min-data-leaf", "5",
+        "--patience", "3", "--max-trees", "5", "--seed", "3"])
+    assert rc == 0
     return out
 
 
 class TestCli:
-    def _query_slice(self, workspace, name, path):
-        """Query embeddings are stored for the full set; slice per split."""
-        from blendrank.corpus import load_queries
-        from blendrank.embeddings import load_embeddings, save_embeddings, EmbeddingMatrix
-        all_q = load_queries(f"{workspace}/queries-train.tsv").query_ids \
-            + load_queries(f"{workspace}/queries-valid.tsv").query_ids \
-            + load_queries(f"{workspace}/queries-test.tsv").query_ids
-        emb = load_embeddings(f"{workspace}/query_embeddings.crem")
-        wanted = load_queries(f"{workspace}/queries-{name}.tsv").query_ids
-        pos = {q: i for i, q in enumerate(all_q)}
-        rows = np.vstack([emb.rows[pos[q]] for q in wanted])
-        save_embeddings(EmbeddingMatrix(rows), path)
-
-    def test_full_cli_cycle(self, workspace, tmp_path):
-        out = workspace
-        self._query_slice(out, "train", f"{out}/qe-train.crem")
-        self._query_slice(out, "valid", f"{out}/qe-valid.crem")
-        self._query_slice(out, "test", f"{out}/qe-test.crem")
-        rc = cli_main([
-            "train", "--collection", f"{out}/collection.tsv",
-            "--lexical-index", f"{out}/index.crix",
-            "--dense-index", f"{out}/index.criv",
-            "--doc-embeddings", f"{out}/doc_embeddings.crem",
-            "--train-queries", f"{out}/queries-train.tsv",
-            "--valid-queries", f"{out}/queries-valid.tsv",
-            "--train-query-embeddings", f"{out}/qe-train.crem",
-            "--valid-query-embeddings", f"{out}/qe-valid.crem",
-            "--qrels", f"{out}/qrels.txt", "--out", f"{out}/model.json",
-            "--log", f"{out}/train.csv",
-            "--k-first", "150", "--rerank-cutoff", "150", "--k-final", "150",
-            "--num-leaves", "8", "--min-sum-hessian", "0", "--min-data-leaf", "5",
-            "--patience", "3", "--max-trees", "5", "--seed", "3"])
-        assert rc == 0
+    def test_full_cli_cycle(self, trained_workspace, tmp_path):
+        out = trained_workspace
         rc = cli_main([
             "search", "--collection", f"{out}/collection.tsv",
             "--lexical-index", f"{out}/index.crix",
@@ -427,8 +434,8 @@ class TestCli:
         assert load_run(f"{out}/run.txt").entries
         assert (out / "sweep.csv").read_text().count("\n") == 1 + 2 * 2
 
-    def test_build_train_then_train_from_npz(self, workspace, tmp_path):
-        out = workspace
+    def test_build_train_then_train_from_npz(self, trained_workspace, tmp_path):
+        out = trained_workspace
         common = ["--collection", f"{out}/collection.tsv",
                   "--lexical-index", f"{out}/index.crix",
                   "--dense-index", f"{out}/index.criv",
@@ -469,8 +476,8 @@ class TestCli:
 
     def test_both_train_paths_write_identical_model_files(self, workspace, tmp_path):
         out = workspace
-        self._query_slice(out, "train", tmp_path / "qe-train.crem")
-        self._query_slice(out, "valid", tmp_path / "qe-valid.crem")
+        query_slice(out, "train", tmp_path / "qe-train.crem")
+        query_slice(out, "valid", tmp_path / "qe-valid.crem")
         common = ["--collection", f"{out}/collection.tsv",
                   "--lexical-index", f"{out}/index.crix",
                   "--dense-index", f"{out}/index.criv",

@@ -143,11 +143,33 @@ class TestCompile:
         ens = Ensemble([stump(1, 0.0, -1.0, 3.0), leaf_tree(2.0)], 1.0, 2)
         comp = compile_ensemble(ens)
         np.testing.assert_array_equal(comp.roots, [0, 3])
-        np.testing.assert_array_equal(comp.left, [1, 1, 2, 3])
         np.testing.assert_array_equal(comp.right, [2, 1, 2, 3])
-        np.testing.assert_array_equal(comp.threshold, [0.0, np.inf, np.inf, np.inf])
+        np.testing.assert_array_equal(comp.threshold, [0.0, np.nan, np.nan, np.nan])
         np.testing.assert_array_equal(exit_leaves(comp, [[0.0, -1.0], [0.0, 1.0]]),
                                       [[1, 3], [2, 3]])
+
+    def test_nan_column_zero_keeps_pairs_at_their_leaves(self):
+        # Leaves read column 0 against a NaN threshold; a NaN there must not
+        # move a pair off its leaf, whether it is stepped at the root, in the
+        # dense phase (half the pairs live) or not at all.
+        rng = np.random.default_rng(36)
+        X = np.round(rng.normal(size=(40, 3)), 1)
+        X[:, 0] = np.nan
+        only_leaves = Ensemble([leaf_tree(2.0), leaf_tree(-0.5)], 1.0, 3)
+        np.testing.assert_array_equal(exit_leaves(compile_ensemble(only_leaves), X),
+                                      np.tile([0, 1], (40, 1)))
+        half_live = Ensemble([leaf_tree(2.0), balanced_tree(rng, 3, 4)], 1.0, 3)
+        leaves = exit_leaves(compile_ensemble(half_live), X)
+        assert np.all(leaves[:, 0] == 0)
+        assert_exact(half_live, X)
+
+    def test_non_adjacent_children_rejected(self):
+        tree = RegressionTree(
+            np.array([0, -1, -1, -1]), np.array([0.5, 0.0, 0.0, 0.0]),
+            np.array([1, -1, -1, -1]), np.array([3, -1, -1, -1]),
+            np.array([0.0, 1.0, 2.0, 3.0]), np.zeros(4))
+        with pytest.raises(ValueError, match="right child"):
+            compile_ensemble(Ensemble([stump(0, 0.0, 1.0, 2.0), tree], 0.1, 1))
 
     def test_conditions_are_the_internal_nodes_per_feature(self):
         ens = random_ensemble(18, n_trees=12, n_features=5, max_leaves=20)
