@@ -2,15 +2,22 @@
 
 Search ranks centroids by similarity to the query, exhaustively scores the
 documents in the top nprobe lists, and returns the top K under a fully
-deterministic tie rule (descending score, then ascending internal id).
-Probing all lists degenerates to exact search, which is the oracle the
-tests lean on.
+deterministic tie rule (descending score, then ascending internal id; NaN
+scores last). Probing all lists degenerates to exact search, which is the
+oracle the tests lean on.
+
+The top K is selected before it is sorted: `np.partition` finds the K-th
+score, every candidate scoring at least that much (ties included) is kept,
+and only those are sorted under the tie rule. The same selection orders the
+centroids to probe. The probed lists' vectors are gathered into one matrix
+and scored with a single product; scoring list by list changes score bits.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -145,6 +152,12 @@ class IvfIndex:
         self.metric = metric
         self.norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
 
+    @cached_property
+    def centroid_norms(self) -> np.ndarray:
+        """Computed at the first search, not at load: a huge centroid's norm
+        overflows to inf with a RuntimeWarning."""
+        return np.linalg.norm(self.centroids.vectors, axis=1)
+
     @property
     def nlist(self) -> int:
         return self.centroids.k
@@ -177,8 +190,10 @@ def build_ivf(vectors: EmbeddingMatrix, centroids: Centroids, metric: str = "dot
                     vectors.rows[order], metric)
 
 
-def _metric_scores(q: np.ndarray, matrix: np.ndarray, norms: np.ndarray, metric: str) -> np.ndarray:
-    """Similarity of q against rows of matrix; zero-norm rows score 0 under cosine."""
+def _metric_scores(q: np.ndarray, matrix: np.ndarray, norms: np.ndarray | None,
+                   metric: str) -> np.ndarray:
+    """Similarity of q against rows of matrix; zero-norm rows score 0 under
+    cosine. The row norms are read only under cosine."""
     scores = matrix @ q
     if metric == "cosine":
         qn = np.linalg.norm(q)
@@ -193,7 +208,15 @@ def _metric_scores(q: np.ndarray, matrix: np.ndarray, norms: np.ndarray, metric:
 
 
 def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> Ranking:
-    order = np.lexsort((ids, -scores))[:k]
+    """The k best by (score desc, id asc), NaN last, as a full lexsort would
+    give them. Everything not below the k-th score is kept, so ties at the cut
+    are settled by id; a NaN k-th score keeps every candidate."""
+    neg = -scores
+    if neg.shape[0] > k:
+        kth = np.partition(neg, k - 1)[k - 1]
+        keep = ~(neg > kth)
+        ids, neg, scores = ids[keep], neg[keep], scores[keep]
+    order = np.lexsort((ids, neg))[:k]
     return Ranking(ids[order], scores[order])
 
 
@@ -208,16 +231,15 @@ def search(index: IvfIndex, q: np.ndarray, k: int, nprobe: int) -> Ranking:
         raise ValueError(f"dimension mismatch: query {q.shape[0]}, index {index.centroids.dim}")
     if not np.isfinite(q).all():
         raise ValueError("query vector has a non-finite entry")
-    cent = index.centroids.vectors
-    cent_norms = np.linalg.norm(cent, axis=1)
-    cent_scores = _metric_scores(q, cent, cent_norms, index.metric)
-    probe = np.lexsort((np.arange(index.nlist), -cent_scores))[:nprobe]
+    cent_scores = _metric_scores(q, index.centroids.vectors, index.centroid_norms, index.metric)
+    probe = _top_k(np.arange(index.nlist), cent_scores, nprobe).ids
     spans = [(int(index.offsets[c]), int(index.offsets[c + 1])) for c in probe]
     cand_ids = np.concatenate([index.ids[a:b] for a, b in spans])
     if cand_ids.shape[0] == 0:
         return Ranking(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
     cand_vecs = np.concatenate([index.vectors[a:b] for a, b in spans])
-    cand_norms = np.concatenate([index.norms[a:b] for a, b in spans])
+    cand_norms = (np.concatenate([index.norms[a:b] for a, b in spans])
+                  if index.metric == "cosine" else None)
     scores = _metric_scores(q, cand_vecs, cand_norms, index.metric)
     return _top_k(cand_ids, scores, k)
 

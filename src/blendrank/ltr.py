@@ -566,25 +566,48 @@ def _tree_from_dict(d: dict) -> RegressionTree:
                              for name, dtype in _TREE_ARRAYS.items()})
 
 
-def _tree_fault(tree: RegressionTree, feature_count: int) -> str | None:
-    """Why the arrays are not a tree laid out as the learner lays it out, or
-    None. Children after their parent, and one parent per node but the root,
-    rule out cycles and unreachable nodes."""
-    f, left, right = tree.feature, tree.left, tree.right
-    n = f.shape[0]
-    if n == 0 or any(getattr(tree, name).shape != (n,) for name in _TREE_ARRAYS):
-        return "node arrays are empty or of unequal lengths"
-    leaf, own = f == -1, np.arange(n)
-    if np.any(leaf & ((left != -1) | (right != -1))):
-        return "a leaf (feature -1) must have left = right = -1"
+def forest_fault(trees: list[RegressionTree], feature_count: int) -> tuple[int, str] | None:
+    """The index of the first tree whose arrays are not laid out as the learner
+    lays them out, and why; None when every tree is. Children after their
+    parent, and one parent per node but the root, rule out cycles and
+    unreachable nodes. Every check runs once over the concatenated forest."""
+    reasons = ("node arrays are empty or of unequal lengths",
+               "a leaf (feature -1) must have left = right = -1",
+               f"an internal node needs 0 <= feature < {feature_count}, left > its own index "
+               "and its right child right after the left one, inside the tree",
+               "every node but the root must be the child of exactly one node")
+    n_trees = len(trees)
+    sizes = np.array([t.feature.shape[0] for t in trees], dtype=np.int64)
+    bad = np.zeros((len(reasons), n_trees), dtype=bool)
+    bad[0] = [n == 0 or any(getattr(t, name).shape != (n,) for name in _TREE_ARRAYS)
+              for t, n in zip(trees, sizes)]
+    kept = np.flatnonzero(~bad[0])
+    sizes = sizes[kept]
+    tree_of = np.repeat(kept, sizes)
+    base = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    own = np.arange(tree_of.shape[0]) - base
+    f, left, right = (np.concatenate([np.zeros(0, np.int64)]
+                                     + [getattr(trees[i], name) for i in kept])
+                      for name in ("feature", "left", "right"))
+
+    def trees_with(node_mask: np.ndarray) -> np.ndarray:
+        return np.bincount(tree_of[node_mask], minlength=n_trees) > 0
+
+    leaf = f == -1
     inner = ~leaf
-    if np.any(inner & ((f < 0) | (f >= feature_count) | (left <= own) | (right != left + 1)
-                       | (right >= n))):
-        return (f"an internal node needs 0 <= feature < {feature_count}, "
-                "left > its own index and right = left + 1 < n_nodes")
-    if np.any(np.bincount(np.concatenate((left[inner], right[inner])), minlength=n)[1:] != 1):
-        return "every node but the root must be the child of exactly one node"
-    return None
+    bad[1] = trees_with(leaf & ((left != -1) | (right != -1)))
+    bad[2] = trees_with(inner & ((f < 0) | (f >= feature_count) | (left <= own)
+                                 | (right != left + 1) | (right >= np.repeat(sizes, sizes))))
+    sound = ~bad[:3].any(axis=0)[tree_of]
+    counted = inner & sound
+    children = np.concatenate((left[counted], right[counted])) + np.tile(base[counted], 2)
+    parents = np.bincount(children, minlength=own.shape[0])
+    bad[3] = trees_with(sound & (own != 0) & (parents != 1))
+    faulty = np.flatnonzero(bad.any(axis=0))
+    if faulty.shape[0] == 0:
+        return None
+    first = int(faulty[0])
+    return first, reasons[int(np.argmax(bad[:, first]))]
 
 
 def save_model(ensemble: Ensemble, path) -> None:
@@ -612,10 +635,9 @@ def load_model(path) -> Ensemble:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     included = doc.get("mask_included")
     trees = [_tree_from_dict(d) for d in doc["trees"]]
-    for i, tree in enumerate(trees):
-        fault = _tree_fault(tree, doc["feature_count"])
-        if fault:
-            raise ValueError(f"{path}: tree {i}: {fault}")
+    fault = forest_fault(trees, doc["feature_count"])
+    if fault:
+        raise ValueError(f"{path}: tree {fault[0]}: {fault[1]}")
     return Ensemble(
         trees,
         doc["learning_rate"],

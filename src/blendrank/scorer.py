@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ltr import Ensemble
+from .ltr import Ensemble, forest_fault
 
 
 class FeatureThresholds(NamedTuple):
@@ -78,8 +78,12 @@ class CompiledEnsemble:
 
 def compile_ensemble(ensemble: Ensemble) -> CompiledEnsemble:
     """Concatenate every tree into one flat forest of self-looping NaN leaves;
-    ValueError unless each right child directly follows its left sibling."""
+    ValueError naming the first tree not laid out as `ltr.forest_fault` requires
+    (each right child directly after its left sibling, no cycles)."""
     trees = ensemble.trees
+    fault = forest_fault(trees, ensemble.feature_count)
+    if fault:
+        raise ValueError(f"tree {fault[0]}: {fault[1]}")
     sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
     roots = np.cumsum(sizes) - sizes
 
@@ -87,10 +91,8 @@ def compile_ensemble(ensemble: Ensemble) -> CompiledEnsemble:
         parts = [getattr(t, name) for t in trees]
         return np.concatenate([np.zeros(0, dtype)] + parts).astype(dtype)
 
-    feature, left, right = (flat(name, np.int64) for name in ("feature", "left", "right"))
+    feature, right = flat("feature", np.int64), flat("right", np.int64)
     leaf = feature < 0
-    if np.any(right[~leaf] != left[~leaf] + 1):
-        raise ValueError("every internal node's right child must follow its left child")
     right = np.where(leaf, np.arange(feature.shape[0]), right + np.repeat(roots, sizes))
     threshold = np.where(leaf, np.nan, flat("threshold", np.float64))
     return CompiledEnsemble(np.where(leaf, 0, feature), threshold, right,

@@ -5,10 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blendrank.embeddings import EmbeddingMatrix
-from blendrank.ivf import (Centroids, build_ivf, exhaustive_search, load_ivf,
-                           save_ivf, search, train_kmeans)
+from blendrank.ivf import (METRICS, Centroids, _metric_scores, _top_k, build_ivf,
+                           exhaustive_search, load_ivf, save_ivf, search, train_kmeans)
 from blendrank.synthetic import make_synthetic
 
 
@@ -26,6 +28,12 @@ def linear_scan_oracle(rows, q, k, metric):
         scored.append((-s, i))
     scored.sort()
     return [(i, -negs) for negs, i in scored[:k]]
+
+
+def lexsort_top_k(ids, scores, k):
+    """Full-sort oracle: every candidate ordered by (score desc, id asc), NaN last."""
+    order = np.lexsort((ids, -scores))[:k]
+    return ids[order], scores[order]
 
 
 def random_matrix(n, d, seed):
@@ -255,6 +263,43 @@ class TestSearch:
         b = search(loaded, q, 10, 3)
         np.testing.assert_array_equal(a.ids, b.ids)
         np.testing.assert_array_equal(a.scores, b.scores)
+
+
+class TestTopKSelection:
+    """Selecting by partition before sorting keeps the full sort's result."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                              st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])),
+                    min_size=1, max_size=80),
+           st.data())
+    def test_equals_full_lexsort(self, values, data):
+        n = len(values)
+        k = data.draw(st.sampled_from([1, max(n - 1, 1), n, n + 5]) | st.integers(1, n + 5))
+        ids = np.array(data.draw(st.permutations(range(0, 3 * n, 3))), dtype=np.int64)
+        scores = np.array(values, dtype=np.float64)
+        got = _top_k(ids, scores, k)
+        want_ids, want_scores = lexsort_top_k(ids, scores, k)
+        assert got.ids.tobytes() == want_ids.tobytes()
+        assert got.scores.tobytes() == want_scores.tobytes()
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_search_equals_full_lexsort_over_probed_candidates(self, metric):
+        vectors = make_synthetic(2000, 5, 16, 7).doc_embeddings
+        idx = build_ivf(vectors, train_kmeans(vectors, 45, 10, 7), metric)
+        rng = np.random.default_rng(23)
+        for nprobe in (1, 3, 16, idx.nlist):
+            for q in rng.normal(size=(4, 16)):
+                cent = _metric_scores(q, idx.centroids.vectors, idx.centroid_norms, metric)
+                probe = np.lexsort((np.arange(idx.nlist), -cent))[:nprobe]
+                rows = np.concatenate([np.arange(idx.offsets[c], idx.offsets[c + 1])
+                                       for c in probe])
+                scores = _metric_scores(q, idx.vectors[rows], idx.norms[rows], metric)
+                for k in (10, 100):
+                    got = search(idx, q, k, nprobe)
+                    want_ids, want_scores = lexsort_top_k(idx.ids[rows], scores, k)
+                    assert got.ids.tobytes() == want_ids.tobytes(), (nprobe, k)
+                    assert got.scores.tobytes() == want_scores.tobytes(), (nprobe, k)
 
 
 @pytest.fixture(scope="module")

@@ -13,9 +13,9 @@ from blendrank.corpus import Corpus, Qrels, QuerySet, build_inverted_index
 from blendrank.embeddings import EmbeddingMatrix
 from blendrank.features import FeatureExtractor
 from blendrank.ivf import Ranking
-from blendrank.ltr import (Ensemble, LtrDataset, LtrGroup, TrainParams,
+from blendrank.ltr import (Ensemble, LtrDataset, LtrGroup, RegressionTree, TrainParams,
                            build_training_set, compute_lambdas,
-                           feature_gains, fit_tree, load_model,
+                           feature_gains, fit_tree, forest_fault, load_model,
                            ndcg_from_scores, random_search_tune, save_model,
                            train, write_train_log, EPS, LEAF_CLAMP)
 from blendrank.metrics import ideal_dcg, ndcg_at_k
@@ -518,6 +518,18 @@ class TestTrain:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=r"model\.json: tree 1: "):
             load_model(path)
+
+    def test_forest_fault_names_the_first_bad_tree(self):
+        ens = train(synthetic_dataset(13), synthetic_dataset(14), train_params())
+        assert forest_fault(ens.trees, ens.feature_count) is None
+        cyclic = RegressionTree(np.array([0, -1, 1]), np.zeros(3), np.array([1, -1, 0]),
+                                np.array([2, -1, 1]), np.zeros(3), np.zeros(3))
+        leaf_with_child = RegressionTree(np.array([-1]), np.zeros(1), np.array([0]),
+                                         np.array([0]), np.zeros(1), np.zeros(1))
+        index, reason = forest_fault([ens.trees[0], cyclic, leaf_with_child], ens.feature_count)
+        assert index == 1 and reason.startswith("an internal node needs")
+        assert forest_fault([leaf_with_child, cyclic], 2) == (
+            0, "a leaf (feature -1) must have left = right = -1")
 
     def test_train_log_csv(self, tmp_path):
         ens = train(synthetic_dataset(15), synthetic_dataset(16), train_params())

@@ -171,6 +171,14 @@ class TestCompile:
         with pytest.raises(ValueError, match="right child"):
             compile_ensemble(Ensemble([stump(0, 0.0, 1.0, 2.0), tree], 0.1, 1))
 
+    def test_cyclic_tree_rejected(self):
+        # children adjacent at every node, but node 2's left child is the root
+        tree = RegressionTree(
+            np.array([0, -1, 1]), np.array([0.5, 0.0, 0.5]), np.array([1, -1, 0]),
+            np.array([2, -1, 1]), np.array([0.0, 1.0, 0.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="tree 1: "):
+            compile_ensemble(Ensemble([stump(0, 0.0, 1.0, 2.0), tree], 0.1, 2))
+
     def test_conditions_are_the_internal_nodes_per_feature(self):
         ens = random_ensemble(18, n_trees=12, n_features=5, max_leaves=20)
         conds = compile_ensemble(ens).conditions
