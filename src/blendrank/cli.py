@@ -17,7 +17,7 @@ from .ltr import (TrainParams, feature_gains, load_dataset, load_model, save_dat
                   save_model, write_train_log)
 from .metrics import bonferroni, evaluate_run, load_run, paired_t_test, per_query_diff, write_run
 from .pipeline import (Pipeline, PipelineConfig, build_blended_datasets, sweep,
-                       sweep_to_csv, train_pipeline, train_variant)
+                       sweep_to_csv, train_variant)
 from .synthetic import make_synthetic
 
 
@@ -96,7 +96,16 @@ def cmd_convert_embeddings(args) -> int:
     return 0
 
 
-def _load_pipeline(args, need_model: bool = False):
+def _query_vectors(queries, path) -> dict:
+    """Query id -> vector from a CREM1 file holding one row per query, in
+    order; empty when there is no file."""
+    if not path:
+        return {}
+    qemb = load_embeddings(path, len(queries))
+    return {qid: qemb.rows[i] for i, qid in enumerate(queries.query_ids)}
+
+
+def _load_pipeline(args):
     """(Pipeline, QuerySet of --queries or None) from flags and --config."""
     cfg = (PipelineConfig.from_file(args.config) if getattr(args, "config", None)
            else PipelineConfig())
@@ -109,21 +118,14 @@ def _load_pipeline(args, need_model: bool = False):
     inv = corpus_io.load_inverted_index(args.lexical_index or cfg.lexical_index)
     emb = load_embeddings(args.doc_embeddings or cfg.doc_embeddings, len(coll))
     ivf_index = ivf_mod.load_ivf(args.dense_index or cfg.dense_index)
-    qvecs = {}
-    queries = None
-    qpath = getattr(args, "query_embeddings", None) or cfg.query_embeddings
     qfile = getattr(args, "queries", None) or cfg.queries
-    if qfile:
-        queries = corpus_io.load_queries(qfile)
-        if qpath:
-            qemb = load_embeddings(qpath, len(queries))
-            qvecs = {qid: qemb.rows[i] for i, qid in enumerate(queries.query_ids)}
+    queries = corpus_io.load_queries(qfile) if qfile else None
+    qvecs = {} if queries is None else _query_vectors(
+        queries, getattr(args, "query_embeddings", None) or cfg.query_embeddings)
     model = None
     mpath = getattr(args, "model", None) or cfg.model
     if mpath:
         model = load_model(mpath)
-    elif need_model:
-        raise SystemExit("this command requires --model")
     return Pipeline(cfg, coll, inv, emb, ivf_index, qvecs, model), queries
 
 
@@ -167,24 +169,22 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _attach_split_embeddings(pipe, queries_and_paths) -> None:
-    for qs, path in queries_and_paths:
-        if path:
-            qemb = load_embeddings(path, len(qs))
-            pipe.query_vectors.update(
-                {qid: qemb.rows[i] for i, qid in enumerate(qs.query_ids)})
-
-
-def cmd_build_train(args) -> int:
+def _blended_datasets(args):
+    """(train, valid, registry dimension): unmasked datasets built from the
+    first stage for --train-queries and --valid-queries."""
     pipe, _ = _load_pipeline(args)
     train_queries = corpus_io.load_queries(args.train_queries)
     valid_queries = corpus_io.load_queries(args.valid_queries)
     qrels = corpus_io.load_qrels(args.qrels)
-    _attach_split_embeddings(pipe, ((train_queries, args.train_query_embeddings),
-                                    (valid_queries, args.valid_query_embeddings)))
+    pipe.query_vectors.update(_query_vectors(train_queries, args.train_query_embeddings))
+    pipe.query_vectors.update(_query_vectors(valid_queries, args.valid_query_embeddings))
     full_train, full_valid = build_blended_datasets(
         pipe, train_queries, valid_queries, qrels, args.n_neg, args.seed or 0)
-    dim = pipe.extractor.registry.dim
+    return full_train, full_valid, pipe.extractor.registry.dim
+
+
+def cmd_build_train(args) -> int:
+    full_train, full_valid, dim = _blended_datasets(args)
     save_dataset(full_train, args.train_out, dim)
     save_dataset(full_valid, args.valid_out, dim)
     rows = sum(g.features.shape[0] for g in full_train.groups)
@@ -198,7 +198,6 @@ def cmd_train(args) -> int:
         learning_rate=args.learning_rate, num_leaves=args.num_leaves,
         min_sum_hessian_leaf=args.min_sum_hessian, min_data_leaf=args.min_data_leaf,
         patience=args.patience, max_trees=args.max_trees, seed=args.seed or 0)
-    variant = args.mask_variant or "full"
     tune_kw = {}
     if args.min_data_range:
         lo, hi = (int(x) for x in args.min_data_range.split(","))
@@ -209,26 +208,18 @@ def cmd_train(args) -> int:
     if args.train_data:
         if not args.valid_data:
             raise SystemExit("--train-data requires --valid-data")
-        train_full, dim = load_dataset(args.train_data)
-        valid_full, _ = load_dataset(args.valid_data)
+        full_train, dim = load_dataset(args.train_data)
+        full_valid, _ = load_dataset(args.valid_data)
         if dim is None:
             raise SystemExit("dataset file carries no registry dimension")
-        ensemble = train_variant(train_full, valid_full, build_registry(dim), variant,
-                                 params, args.trials, args.seed or 0, tune_kw or None)
+    elif args.train_queries and args.valid_queries and args.qrels:
+        full_train, full_valid, dim = _blended_datasets(args)
     else:
-        if not (args.train_queries and args.valid_queries and args.qrels):
-            raise SystemExit("train requires --train-queries, --valid-queries and "
-                             "--qrels (or --train-data/--valid-data)")
-        pipe, _ = _load_pipeline(args)
-        train_queries = corpus_io.load_queries(args.train_queries)
-        valid_queries = corpus_io.load_queries(args.valid_queries)
-        qrels = corpus_io.load_qrels(args.qrels)
-        _attach_split_embeddings(pipe, ((train_queries, args.train_query_embeddings),
-                                        (valid_queries, args.valid_query_embeddings)))
-        ensemble = train_pipeline(pipe, train_queries, valid_queries, qrels,
-                                  params=params, mask_variant=variant,
-                                  n_neg=args.n_neg, tune_trials=args.trials,
-                                  seed=args.seed or 0, tune_ranges=tune_kw or None)
+        raise SystemExit("train requires --train-queries, --valid-queries and "
+                         "--qrels (or --train-data/--valid-data)")
+    ensemble = train_variant(full_train, full_valid, build_registry(dim),
+                             args.mask_variant or "full", params, args.trials,
+                             args.seed or 0, tune_kw or None)
     save_model(ensemble, args.out)
     if args.log:
         write_train_log(ensemble, args.log)
@@ -239,7 +230,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    pipe, queries = _load_pipeline(args, need_model=False)
+    pipe, queries = _load_pipeline(args)
     if queries is None:
         raise SystemExit("sweep requires --queries")
     qrels = corpus_io.load_qrels(args.qrels)
@@ -367,35 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bonferroni-m", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
-    def add_train_args(p, default_trials):
-        add_runtime_args(p, with_model=False)
-        p.add_argument("--train-queries", default=None)
-        p.add_argument("--valid-queries", default=None)
-        p.add_argument("--train-query-embeddings", default=None)
-        p.add_argument("--valid-query-embeddings", default=None)
-        p.add_argument("--qrels", default=None)
-        p.add_argument("--train-data", default=None,
-                       help="dataset npz from build-train (skips extraction)")
-        p.add_argument("--valid-data", default=None)
-        p.add_argument("--out", required=True)
-        p.add_argument("--log", default=None)
-        p.add_argument("--mask-variant", choices=("full", "lexical", "dense"),
-                       default="full")
-        p.add_argument("--n-neg", type=int, default=30)
-        p.add_argument("--learning-rate", type=float, default=0.1)
-        p.add_argument("--num-leaves", type=int, default=64)
-        p.add_argument("--min-sum-hessian", type=float, default=10.0)
-        p.add_argument("--min-data-leaf", type=int, default=100)
-        p.add_argument("--patience", type=int, default=30)
-        p.add_argument("--max-trees", type=int, default=500)
-        p.add_argument("--trials", type=int, default=default_trials,
-                       help="random-search trials; 0 trains with the given params")
-        p.add_argument("--min-data-range", default=None,
-                       help="lo,hi sample range for min_data_leaf during tuning")
-        p.add_argument("--hessian-range", default=None,
-                       help="lo,hi sample range for min_sum_hessian_leaf during tuning")
-        p.set_defaults(func=cmd_train)
-
     p = sub.add_parser("build-train", help="extract a training dataset to npz")
     add_runtime_args(p, with_model=False)
     p.add_argument("--train-queries", required=True)
@@ -408,9 +370,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid-out", required=True)
     p.set_defaults(func=cmd_build_train)
 
-    add_train_args(sub.add_parser("train", help="train a re-ranking model"), 0)
-    add_train_args(sub.add_parser("tune",
-                                  help="random-search hyperparameters, then train"), 16)
+    p = sub.add_parser("train", help="train a re-ranking model")
+    add_runtime_args(p, with_model=False)
+    p.add_argument("--train-queries", default=None)
+    p.add_argument("--valid-queries", default=None)
+    p.add_argument("--train-query-embeddings", default=None)
+    p.add_argument("--valid-query-embeddings", default=None)
+    p.add_argument("--qrels", default=None)
+    p.add_argument("--train-data", default=None,
+                   help="dataset npz from build-train (skips extraction)")
+    p.add_argument("--valid-data", default=None)
+    p.add_argument("--out", required=True)
+    p.add_argument("--log", default=None)
+    p.add_argument("--mask-variant", choices=("full", "lexical", "dense"), default="full")
+    p.add_argument("--n-neg", type=int, default=30)
+    p.add_argument("--learning-rate", type=float, default=0.1)
+    p.add_argument("--num-leaves", type=int, default=64)
+    p.add_argument("--min-sum-hessian", type=float, default=10.0)
+    p.add_argument("--min-data-leaf", type=int, default=100)
+    p.add_argument("--patience", type=int, default=30)
+    p.add_argument("--max-trees", type=int, default=500)
+    p.add_argument("--trials", type=int, default=0,
+                   help="random-search trials; 0 trains with the given params")
+    p.add_argument("--min-data-range", default=None,
+                   help="lo,hi sample range for min_data_leaf during tuning")
+    p.add_argument("--hessian-range", default=None,
+                   help="lo,hi sample range for min_sum_hessian_leaf during tuning")
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="probe x cutoff efficiency/effectiveness grid")
     add_runtime_args(p)

@@ -224,9 +224,6 @@ class InvertedIndex:
         df = self.df.get(term, 0)
         return float(np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0))
 
-    def posting(self, term: str):
-        return self.postings.get(term)
-
 
 def build_inverted_index(corpus: Corpus, stem: bool = False) -> InvertedIndex:
     """Tokenize every document and build the positional index."""

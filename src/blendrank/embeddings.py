@@ -8,6 +8,7 @@ projection used for synthetic datasets and tests: good enough to carry a
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass, field
@@ -66,20 +67,12 @@ def load_embeddings(path, expected_rows: int | None = None) -> EmbeddingMatrix:
     return EmbeddingMatrix(rows)
 
 
-_token_vector_cache: dict[tuple[int, int, str], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _token_vector(token: str, dim: int, seed: int) -> np.ndarray:
     """Fixed pseudo-random unit vector for (token, dim, seed), stable across runs."""
-    key = (seed, dim, token)
-    vec = _token_vector_cache.get(key)
-    if vec is None:
-        digest = hashlib.blake2b(f"{seed}\x00{token}".encode("utf-8"), digest_size=8).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "little"))
-        vec = rng.standard_normal(dim)
-        vec /= np.linalg.norm(vec)
-        _token_vector_cache[key] = vec
-    return vec
+    digest = hashlib.blake2b(f"{seed}\x00{token}".encode("utf-8"), digest_size=8).digest()
+    vec = np.random.default_rng(int.from_bytes(digest, "little")).standard_normal(dim)
+    return vec / np.linalg.norm(vec)
 
 
 def toy_encode(text: str, dim: int, seed: int) -> np.ndarray:

@@ -7,14 +7,14 @@ A model variant selects its columns with `make_mask(...).included`.
 Each row concatenates, in this fixed order: the dense query vector (D
 values), the dense document vector (D), their elementwise delta q - d (D),
 the cosine similarity between the two, the candidate's rank under cosine
-ordering, and the lexical feature catalog (L values). Total length is
-3D + 2 + L.
+ordering, and the lexical feature catalog (L = 36 values). Total length is
+3D + 2 + 36.
 
 The lexical catalog covers term-level statistics aggregated over query
-terms, whole-match scores (BM25, Dirichlet language model), and positional
-proximity, each computed for all candidates at once, with no loop over
-documents. Aggregation is over unique query terms; query length counts
-tokens with duplicates.
+terms (24); whole-match scores (BM25, Dirichlet language model), counts
+and the tf-idf cosine (8); and positional proximity (4), each computed for
+all candidates at once, with no loop over documents. Aggregation is over
+unique query terms; query length counts tokens with duplicates.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ DEFAULT_LEXICAL_NAMES = (
         "lex_mean_min_pair_dist",
         "lex_ordered_bigrams",
         "lex_pairs_within_8",
-        "lex_pad_0",
-        "lex_pad_1",
-        "lex_pad_2",
-        "lex_pad_3",
     ]
 )
 
@@ -151,7 +147,7 @@ class _QueryContext:
     def __init__(self, index: InvertedIndex, query_tokens: list[str]):
         self.tokens = list(query_tokens)
         self.terms = sorted(set(self.tokens))
-        self.postings = [index.posting(t) for t in self.terms]
+        self.postings = [index.postings.get(t) for t in self.terms]
         self.idf = [index.idf(t) for t in self.terms]
         self.cf = [index.cf.get(t, 0) for t in self.terms]
         qtf = {}

@@ -266,12 +266,12 @@ class RegressionTree:
 
 
 class _PendingNode:
-    __slots__ = ("sorted_idx", "best_gain", "best_feature", "best_threshold",
-                 "best_pos", "sum_lambda", "sum_hessian", "serial")
+    __slots__ = ("sorted_idx", "slot", "best_gain", "best_feature", "best_threshold",
+                 "best_pos", "sum_lambda", "sum_hessian")
 
-    def __init__(self, sorted_idx, serial):
+    def __init__(self, sorted_idx, slot):
         self.sorted_idx = sorted_idx
-        self.serial = serial
+        self.slot = slot
         self.best_gain = -np.inf
 
 
@@ -334,7 +334,7 @@ class _TreeBuilder:
         node.best_threshold = threshold if lo <= threshold < hi else lo
         node.best_pos = pos
 
-    def _split(self, node: _PendingNode, serial_l: int, serial_r: int):
+    def _split(self, node: _PendingNode, slot_l: int, slot_r: int):
         f, pos = node.best_feature, node.best_pos
         left_rows = node.sorted_idx[f, :pos + 1]
         self._membership[left_rows] = True
@@ -344,66 +344,38 @@ class _TreeBuilder:
         right_idx = node.sorted_idx[~goes_left].reshape(
             self.n_features, node.sorted_idx.shape[1] - n_left)
         self._membership[left_rows] = False
-        return _PendingNode(left_idx, serial_l), _PendingNode(right_idx, serial_r)
+        return _PendingNode(left_idx, slot_l), _PendingNode(right_idx, slot_r)
 
     def fit(self, lambdas: np.ndarray, hessians: np.ndarray) -> RegressionTree:
-        feature, threshold, left, right, value, gain = [], [], [], [], [], []
-
-        def new_node():
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-            gain.append(0.0)
-            return len(feature) - 1
-
-        serial = 0
-        root = _PendingNode(self.presort.copy(), serial)
-        self._find_best_split(root, lambdas, hessians)
-        root_slot = new_node()
-        slots = {root.serial: root_slot}
+        # Every leaf holds at least one row, so the tree has at most this many nodes.
+        cap = 2 * min(self.params.num_leaves, max(self.n, 1)) - 1
+        feature, left, right = (np.full(cap, -1, dtype=np.int64) for _ in range(3))
+        threshold, value, gain = (np.zeros(cap) for _ in range(3))
         heap = []
-        if np.isfinite(root.best_gain):
-            heapq.heappush(heap, (-root.best_gain, root.serial, root))
-        else:
-            value[root_slot] = self._leaf_value(root.sum_lambda, root.sum_hessian)
-        n_leaves = 1
-        while heap and n_leaves < self.params.num_leaves:
-            _, _, node = heapq.heappop(heap)
-            slot = slots.pop(node.serial)
-            serial += 1
-            l_node = serial
-            serial += 1
-            r_node = serial
-            child_l, child_r = self._split(node, l_node, r_node)
-            feature[slot] = node.best_feature
-            threshold[slot] = float(node.best_threshold)
-            gain[slot] = float(node.best_gain)
-            slot_l = new_node()
-            slot_r = new_node()
-            left[slot] = slot_l
-            right[slot] = slot_r
-            n_leaves += 1
-            for child, child_slot in ((child_l, slot_l), (child_r, slot_r)):
-                self._find_best_split(child, lambdas, hessians)
-                slots[child.serial] = child_slot
-                if np.isfinite(child.best_gain):
-                    heapq.heappush(heap, (-child.best_gain, child.serial, child))
-                else:
-                    value[child_slot] = self._leaf_value(child.sum_lambda, child.sum_hessian)
+
+        def queue_or_leaf(node: _PendingNode) -> None:
+            self._find_best_split(node, lambdas, hessians)
+            if np.isfinite(node.best_gain):
+                # Equal gains split the node made first, the lower slot.
+                heapq.heappush(heap, (-node.best_gain, node.slot, node))
+            else:
+                value[node.slot] = self._leaf_value(node.sum_lambda, node.sum_hessian)
+
+        queue_or_leaf(_PendingNode(self.presort, 0))
+        n_nodes = 1
+        while heap and n_nodes < cap:
+            _, slot, node = heapq.heappop(heap)
+            feature[slot], threshold[slot], gain[slot] = (
+                node.best_feature, node.best_threshold, node.best_gain)
+            left[slot], right[slot] = n_nodes, n_nodes + 1
+            for child in self._split(node, n_nodes, n_nodes + 1):
+                queue_or_leaf(child)
+            n_nodes += 2
         # Anything still splittable but over the leaf budget becomes a leaf.
-        for _, _, node in heap:
-            slot = slots[node.serial]
+        for _, slot, node in heap:
             value[slot] = self._leaf_value(node.sum_lambda, node.sum_hessian)
-        return RegressionTree(
-            np.array(feature, dtype=np.int64),
-            np.array(threshold, dtype=np.float64),
-            np.array(left, dtype=np.int64),
-            np.array(right, dtype=np.int64),
-            np.array(value, dtype=np.float64),
-            np.array(gain, dtype=np.float64),
-        )
+        return RegressionTree(*(a[:n_nodes] for a in (feature, threshold, left, right,
+                                                      value, gain)))
 
 
 def fit_tree(X: np.ndarray, lambdas: np.ndarray, hessians: np.ndarray,
@@ -417,7 +389,8 @@ def fit_tree(X: np.ndarray, lambdas: np.ndarray, hessians: np.ndarray,
 @dataclass
 class Ensemble:
     """Boosted forest; the model score is sum(learning_rate * tree(x)) in
-    tree order."""
+    tree order. Building one raises ValueError naming the first tree that
+    `forest_fault` rejects."""
 
     trees: list[RegressionTree]
     learning_rate: float
@@ -426,6 +399,11 @@ class Ensemble:
     registry_hash: str = ""
     mask_included: np.ndarray | None = None
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        fault = forest_fault(self.trees, self.feature_count)
+        if fault:
+            raise ValueError(f"tree {fault[0]}: {fault[1]}")
 
     @property
     def n_trees(self) -> int:
@@ -634,19 +612,18 @@ def load_model(path) -> Ensemble:
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
     included = doc.get("mask_included")
-    trees = [_tree_from_dict(d) for d in doc["trees"]]
-    fault = forest_fault(trees, doc["feature_count"])
-    if fault:
-        raise ValueError(f"{path}: tree {fault[0]}: {fault[1]}")
-    return Ensemble(
-        trees,
-        doc["learning_rate"],
-        doc["feature_count"],
-        doc.get("mask_variant", "full"),
-        doc.get("registry_hash", ""),
-        np.array(included, dtype=np.int64) if included is not None else None,
-        doc.get("metadata", {}),
-    )
+    try:
+        return Ensemble(
+            [_tree_from_dict(d) for d in doc["trees"]],
+            doc["learning_rate"],
+            doc["feature_count"],
+            doc.get("mask_variant", "full"),
+            doc.get("registry_hash", ""),
+            np.array(included, dtype=np.int64) if included is not None else None,
+            doc.get("metadata", {}),
+        )
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def write_train_log(ensemble: Ensemble, path) -> None:

@@ -279,7 +279,6 @@ class MetricReport:
 
     per_query: dict[str, dict[str, float]]
     means: dict[str, float] = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.means:
@@ -313,21 +312,14 @@ def evaluate_run(run: RunList, qrels: Qrels, ndcg_k: int = 10, mrr_k: int = 10,
     mrr_name = f"mrr@{mrr_k}"
     recall_name = f"recall@{recall_k}"
     per_query = {ndcg_name: {}, mrr_name: {}, recall_name: {}}
-    unjudged = []
     for qid in run.query_ids():
         judged = qrels.for_query(qid)
         ranked_docs = run.doc_ids(qid)
         ranked_grades = [judged.get(d, 0) for d in ranked_docs]
         all_grades = list(judged.values())
         relevant = {d for d, g in judged.items() if g >= rel_threshold}
-        if not relevant:
-            unjudged.append(qid)
         per_query[ndcg_name][qid] = ndcg_at_k(ranked_grades, all_grades, ndcg_k,
                                               exponential)
         per_query[mrr_name][qid] = mrr_at_k(ranked_grades, mrr_k, rel_threshold)
         per_query[recall_name][qid] = recall_at_k(ranked_docs, relevant, recall_k)
-    return MetricReport(per_query, metadata={
-        "cutoffs": {"ndcg": ndcg_k, "mrr": mrr_k, "recall": recall_k},
-        "rel_threshold": rel_threshold,
-        "queries_without_relevants": unjudged,
-    })
+    return MetricReport(per_query)

@@ -37,6 +37,7 @@ which is the same summation order.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,19 +49,17 @@ class FeatureThresholds(NamedTuple):
     thresholds: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
 class CompiledEnsemble:
     """All trees of an Ensemble as one flat forest; immutable and reentrant."""
 
-    def __init__(self, feature: np.ndarray, threshold: np.ndarray, right: np.ndarray,
-                 value: np.ndarray, roots: np.ndarray, learning_rate: float,
-                 feature_count: int):
-        self.feature = feature
-        self.threshold = threshold
-        self.right = right
-        self.value = value
-        self.roots = roots
-        self.learning_rate = learning_rate
-        self.feature_count = feature_count
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    learning_rate: float
+    feature_count: int
 
     @property
     def n_trees(self) -> int:

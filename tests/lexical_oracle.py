@@ -20,7 +20,7 @@ def posting_run(index: InvertedIndex, term: str, k: int) -> np.ndarray:
 
 def positions(index: InvertedIndex, term: str, internal_id: int) -> np.ndarray:
     """The term's sorted positions in one document; empty when absent."""
-    p = index.posting(term)
+    p = index.postings.get(term)
     if p is not None:
         k = int(np.searchsorted(p[0], internal_id))
         if k < p[0].shape[0] and p[0][k] == internal_id:

@@ -12,6 +12,7 @@ from blendrank.corpus import Corpus, build_inverted_index, tokenize
 from blendrank.embeddings import EmbeddingMatrix
 from blendrank.features import (FeatureExtractor, _QueryContext, _lexical_features_batch, FeatureRegistry, build_registry,
                                 make_mask, DEFAULT_LEXICAL_NAMES, LEXICAL_COUNT)
+from blendrank.synthetic import make_synthetic
 from lexical_oracle import extract_lexical
 
 IDX = {name: i for i, name in enumerate(DEFAULT_LEXICAL_NAMES)}
@@ -82,10 +83,17 @@ class TestLexicalCatalog:
         assert feats[IDX["lex_mean_min_pair_dist"]] == 1.0
         assert feats[IDX["lex_pairs_within_8"]] == 1.0
 
-    def test_padding_fixed_at_zero(self, toy_index):
-        feats = extract_lexical(toy_index, tokenize("a b c"), 0)
-        for i in range(4):
-            assert feats[IDX[f"lex_pad_{i}"]] == 0.0
+    def test_every_column_carries_a_value(self):
+        # No catalog slot is a constant zero: each is nonzero for some
+        # (query, document) of a seeded collection.
+        data = make_synthetic(300, 20, 8, seed=3)
+        index = build_inverted_index(data.corpus)
+        docs = np.arange(len(data.corpus))
+        seen = np.zeros(LEXICAL_COUNT, dtype=bool)
+        for text in data.queries.texts:
+            ctx = _QueryContext(index, tokenize(text))
+            seen |= (_lexical_features_batch(index, ctx, docs) != 0).any(axis=0)
+        assert [n for n, hit in zip(DEFAULT_LEXICAL_NAMES, seen) if not hit] == []
 
     def test_document_local(self, toy_index):
         # Lexical features depend only on the (query, document) pair.

@@ -251,6 +251,19 @@ class TestFitTree:
             tree = fit_tree(X, lam, hes, leaf_params(num_leaves=budget))
             assert 1 <= tree.n_leaves <= budget
 
+    def test_equal_gains_split_the_lower_slot(self):
+        # The root splits at 1.5; its children (slots 1 and 2) then tie at
+        # gain 4, and the budget of 3 leaves lets only the left one split.
+        X = np.array([0, 0, 1, 1, 2, 2, 3, 3], dtype=float).reshape(-1, 1)
+        lam = np.array([3, 3, 1, 1, -1, -1, -3, -3], dtype=float)
+        hes = np.ones(8)
+        tree = fit_tree(X, lam, hes, leaf_params(num_leaves=3))
+        assert tree.threshold[0] == 1.5
+        assert list(tree.feature) == [0, 0, -1, -1, -1]
+        assert list(tree.left) == [1, 3, -1, -1, -1]
+        both = fit_tree(X, lam, hes, leaf_params(num_leaves=4))
+        assert both.gain[1] == both.gain[2] > 0
+
     def test_leaf_value_is_newton_step(self):
         X = np.array([[0.0], [1.0]])
         lam = np.array([3.0, 3.0])
@@ -530,6 +543,13 @@ class TestTrain:
         assert index == 1 and reason.startswith("an internal node needs")
         assert forest_fault([leaf_with_child, cyclic], 2) == (
             0, "a leaf (feature -1) must have left = right = -1")
+
+    def test_ensemble_rejects_a_cyclic_tree(self):
+        # Built in memory and scored naively, this tree never reached a leaf.
+        cyclic = RegressionTree(np.array([0, -1, 1]), np.zeros(3), np.array([1, -1, 0]),
+                                np.array([2, -1, 1]), np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError, match="^tree 0: an internal node needs"):
+            Ensemble([cyclic], 0.1, 2)
 
     def test_train_log_csv(self, tmp_path):
         ens = train(synthetic_dataset(15), synthetic_dataset(16), train_params())

@@ -459,7 +459,7 @@ class TestCli:
                        "--min-data-leaf", "5", "--patience", "3",
                        "--max-trees", "5", "--seed", "3"])
         assert rc == 0
-        rc = cli_main(["tune",
+        rc = cli_main(["train",
                        "--train-data", str(tmp_path / "train.npz"),
                        "--valid-data", str(tmp_path / "valid.npz"),
                        "--out", str(tmp_path / "model-tuned.json"),
