@@ -1,14 +1,16 @@
 """LambdaMART: lambda gradients from swap-deltas of truncated nDCG, boosted
-regression trees with exact split search, and early stopping on a
+regression trees grown from feature histograms, and early stopping on a
 validation set. Gains, discounts and nDCG come from `metrics`, so training
 scores a ranking exactly as evaluation does.
 
-Trees are grown best-first to a leaf budget. Split search is exact (every
-boundary between distinct sorted feature values lo < hi is a candidate; the
-threshold is their midpoint, or lo when the midpoint rounds outside
-[lo, hi)); this keeps the brute-force oracle in the tests exact rather than
-approximate. The per-feature sort order is computed once per training run
-and maintained through splits by stable partition.
+Trees are grown best-first to a leaf budget. Each feature is cut once per
+training run into at most MAX_BINS bins (one per distinct value when they
+fit, else row quantiles; NaN has a bin of its own and always goes right).
+A split falls after an occupied bin; its threshold is the midpoint between
+the bin's largest training value and the smallest of the node's next
+occupied bin, or the former when the midpoint rounds outside that gap, so
+`x <= threshold` splits the node's rows exactly as their bins do. With at
+most MAX_BINS distinct values per feature this is the exact split search.
 """
 
 from __future__ import annotations
@@ -144,20 +146,20 @@ def build_training_set(queries: QuerySet, qrels: Qrels,
                 relevant[internal] = grade
         if not relevant:
             continue
-        cand = ranking.ids
-        missing = sorted(set(relevant) - set(cand.tolist()))
-        merged = np.concatenate([cand, np.array(missing, dtype=np.int64)]) if missing else cand
-        pool = np.array([i for i in cand.tolist() if i not in relevant], dtype=np.int64)
+        rel_ids = np.array(sorted(relevant), dtype=np.int64)
+        cand = np.asarray(ranking.ids, dtype=np.int64)
+        merged = np.concatenate([cand, rel_ids[~np.isin(rel_ids, cand)]])
+        pool = cand[~np.isin(cand, rel_ids)]
         take = min(n_neg, pool.shape[0])
         negatives = pool[rng.choice(pool.shape[0], size=take, replace=False)] if take else pool[:0]
-        rel_ids = sorted(relevant)
-        group_ids = np.concatenate([np.array(rel_ids, dtype=np.int64), negatives])
+        group_ids = np.concatenate([rel_ids, negatives])
         labels = np.concatenate([
-            np.array([relevant[i] for i in rel_ids], dtype=np.int64),
+            np.array([relevant[i] for i in rel_ids.tolist()], dtype=np.int64),
             np.zeros(take, dtype=np.int64),
         ])
-        pos_of = {int(d): p for p, d in enumerate(merged)}
-        needed = np.array([pos_of[int(d)] for d in group_ids], dtype=np.int64)
+        # Each id's row in merged: its last position, should a ranking repeat it.
+        by_id = np.argsort(merged, kind="stable")
+        needed = by_id[np.searchsorted(merged, group_ids, side="right", sorter=by_id) - 1]
         tokens = extractor.tokenize_query(text)
         feats = extractor.feature_matrix(tokens, query_vectors[qid], merged, needed)
         groups.append(LtrGroup(qid, feats, labels, group_ids))
@@ -265,88 +267,169 @@ class RegressionTree:
         return self.value[node]
 
 
-class _PendingNode:
-    __slots__ = ("sorted_idx", "slot", "best_gain", "best_feature", "best_threshold",
-                 "best_pos", "sum_lambda", "sum_hessian")
+MAX_BINS = 256
 
-    def __init__(self, sorted_idx, slot):
-        self.sorted_idx = sorted_idx
+
+@dataclass(frozen=True, eq=False)
+class FeatureBins:
+    """Every column of a training matrix cut once into at most MAX_BINS bins.
+
+    codes[r, f] is row r's bin of feature f. Value bins 0 .. n_values[f] - 1
+    run in increasing order: bin b holds the training values in
+    (upper[f, b - 1], upper[f, b]], and lower[f, b] and upper[f, b] are the
+    smallest and the largest of them. A feature with NaN has one more bin,
+    n_values[f], after all of its values. A feature with no more distinct
+    values than it has value bins gets one bin per value; any other is cut
+    at row quantiles, so every bin edge is a training value.
+    """
+
+    codes: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    n_values: np.ndarray
+
+
+def bin_features(X: np.ndarray) -> FeatureBins:
+    """FeatureBins of X, whose rows keep their order in `codes`."""
+    X = np.asarray(X, dtype=np.float64)
+    n, n_features = X.shape
+    codes = np.empty((n, n_features), dtype=np.uint8)
+    lower, upper = (np.full((n_features, MAX_BINS), np.nan) for _ in range(2))
+    n_values = np.zeros(n_features, dtype=np.int64)
+    for f in range(n_features):
+        col = X[:, f]
+        vals = np.sort(col[~np.isnan(col)])
+        room = MAX_BINS - int(vals.shape[0] < n)
+        edges = np.unique(vals)
+        if edges.shape[0] > room:
+            k = vals.shape[0]
+            edges = np.unique(vals[np.arange(1, room + 1) * k // room - 1])
+        ends = np.searchsorted(vals, edges, side="right")
+        b = edges.shape[0]
+        lower[f, :b] = vals[ends - np.diff(ends, prepend=0)]
+        upper[f, :b] = edges
+        n_values[f] = b
+        # searchsorted puts NaN after every edge, in bin b.
+        codes[:, f] = np.searchsorted(edges, col)
+    return FeatureBins(codes, lower, upper, n_values)
+
+
+class _PendingNode:
+    __slots__ = ("rows", "slot", "hist", "best_gain", "best_feature", "best_threshold",
+                 "best_bin", "sum_lambda", "sum_hessian")
+
+    def __init__(self, rows, slot):
+        self.rows = rows
         self.slot = slot
+        self.hist = None
         self.best_gain = -np.inf
 
 
 class _TreeBuilder:
     """Grows one regression tree per call over a fixed feature matrix.
 
-    The global per-feature sort order is computed once; children inherit
-    the parent's order by stable partition, so split search never re-sorts.
-    Tied feature values are ordered by row_keys so that per-node sums run
-    in a canonical order regardless of how the caller ordered the rows.
+    Each feature is binned once (`bin_features`), with the rows in
+    canonical row_keys order, so every per-bin sum runs in an order that does
+    not depend on how the caller ordered the rows. A node is a sorted array
+    of row positions and, while it may still split, its (lambda, hessian,
+    count) histogram over every (feature, bin). Of two children only the
+    smaller is histogrammed from its rows; the larger gets its parent's
+    histogram minus the smaller's (LightGBM's subtraction trick). The split
+    scan runs a cumulative sum over each feature's bins.
     """
 
     def __init__(self, X: np.ndarray, params: TrainParams, row_keys: np.ndarray):
-        self.X = np.asarray(X, dtype=np.float64)
-        self.n, self.n_features = self.X.shape
+        X = np.asarray(X, dtype=np.float64)
+        self.n, self.n_features = X.shape
         self.params = params
-        self.presort = np.empty((self.n_features, self.n), dtype=np.int64)
-        for f in range(self.n_features):
-            self.presort[f] = np.lexsort((row_keys, self.X[:, f]))
-        self._col = np.arange(self.n_features)[:, None]
-        self._membership = np.zeros(self.n, dtype=bool)
+        self.order = np.argsort(row_keys, kind="stable")
+        self.bins = bin_features(X[self.order])
+        self.width = int(self.bins.codes.max(initial=0)) + 1
+        self.key_base = np.arange(self.n_features, dtype=np.int64) * self.width
 
     def _leaf_value(self, sum_lambda: float, sum_hessian: float) -> float:
         w = sum_lambda / (sum_hessian + EPS)
         return float(np.clip(w, -LEAF_CLAMP, LEAF_CLAMP))
 
-    def _find_best_split(self, node: _PendingNode, lambdas, hessians):
-        idx = node.sorted_idx
-        m = idx.shape[1]
-        node.sum_lambda = float(lambdas[idx[0]].sum())
-        node.sum_hessian = float(hessians[idx[0]].sum())
-        if m < 2 or m < 2 * self.params.min_data_leaf:
+    def _histogram(self, rows: np.ndarray, lam: np.ndarray, hes: np.ndarray):
+        """(lambda, hessian, count) sums per (feature, bin), flat and feature-major."""
+        keys = (self.bins.codes[rows] + self.key_base).ravel()
+        size = self.n_features * self.width
+        return (np.bincount(keys, np.repeat(lam[rows], self.n_features), size),
+                np.bincount(keys, np.repeat(hes[rows], self.n_features), size),
+                np.bincount(keys, minlength=size))
+
+    def _find_best_split(self, node: _PendingNode, lam: np.ndarray, hes: np.ndarray):
+        rows = node.rows
+        node.sum_lambda = float(lam[rows].sum())
+        node.sum_hessian = float(hes[rows].sum())
+        if node.hist is None:
             return
-        vals = self.X[idx, self._col]
-        lam = np.cumsum(lambdas[idx], axis=1)[:, :-1]
-        hes = np.cumsum(hessians[idx], axis=1)[:, :-1]
+        p, m = self.params, rows.shape[0]
+        shape = (self.n_features, self.width)
+        h_lam, h_hes, h_cnt = (h.reshape(shape) for h in node.hist)
+        n_left = np.cumsum(h_cnt, axis=1)
+        # A split falls after an occupied bin. NaN rows always go right: the
+        # NaN bin is last, and a split after it would leave the right empty.
+        ok = (h_cnt > 0) & (n_left >= p.min_data_leaf) & (m - n_left >= p.min_data_leaf)
+        cand = np.flatnonzero(ok)
+        if cand.shape[0] == 0:
+            return
+        lam_l = np.cumsum(h_lam, axis=1).ravel()[cand]
+        hes_l = np.cumsum(h_hes, axis=1).ravel()[cand]
         tot_l, tot_h = node.sum_lambda, node.sum_hessian
-        lam_r = tot_l - lam
-        hes_r = tot_h - hes
-        parent_term = tot_l * tot_l / (tot_h + EPS)
-        gains = lam * lam / (hes + EPS) + lam_r * lam_r / (hes_r + EPS) - parent_term
-        n_left = np.arange(1, m)
-        ok = (vals[:, 1:] != vals[:, :-1])
-        ok &= (n_left >= self.params.min_data_leaf) & (m - n_left >= self.params.min_data_leaf)
-        ok &= (hes >= self.params.min_sum_hessian_leaf) & (hes_r >= self.params.min_sum_hessian_leaf)
-        gains = np.where(ok, gains, -np.inf)
-        best_pos = np.argmax(gains, axis=1)
-        best_per_feature = gains[np.arange(self.n_features), best_pos]
-        f = int(np.argmax(best_per_feature))
-        g = float(best_per_feature[f])
+        lam_r = tot_l - lam_l
+        hes_r = tot_h - hes_l
+        gains = lam_l * lam_l / (hes_l + EPS) + lam_r * lam_r / (hes_r + EPS) \
+            - tot_l * tot_l / (tot_h + EPS)
+        gains[(hes_l < p.min_sum_hessian_leaf) | (hes_r < p.min_sum_hessian_leaf)] = -np.inf
+        # The first maximum in (feature, bin) order: ties go to the first feature.
+        i = int(np.argmax(gains))
+        g = float(gains[i])
         if g <= 0.0 or not np.isfinite(g):
             return
-        pos = int(best_pos[f])
+        f, b = divmod(int(cand[i]), self.width)
         node.best_gain = g
         node.best_feature = f
-        lo, hi = float(vals[f, pos]), float(vals[f, pos + 1])
-        threshold = (lo + hi) / 2.0
-        # The midpoint of adjacent doubles rounds to hi, and of huge ones
-        # overflows; lo keeps `x <= threshold` equal to the partition.
-        node.best_threshold = threshold if lo <= threshold < hi else lo
-        node.best_pos = pos
+        node.best_bin = b
+        # Between the largest training value of bin b and the smallest of the
+        # node's next occupied value bin, if it has one.
+        lo = float(self.bins.upper[f, b])
+        later = np.flatnonzero(h_cnt[f, b + 1:self.bins.n_values[f]])
+        threshold = lo
+        if later.shape[0]:
+            hi = float(self.bins.lower[f, b + 1 + later[0]])
+            mid = (lo + hi) / 2.0
+            # The midpoint of adjacent doubles rounds to hi, and of huge ones
+            # overflows; lo keeps `x <= threshold` equal to `code <= b`.
+            if lo <= mid < hi:
+                threshold = mid
+        node.best_threshold = threshold
 
-    def _split(self, node: _PendingNode, slot_l: int, slot_r: int):
-        f, pos = node.best_feature, node.best_pos
-        left_rows = node.sorted_idx[f, :pos + 1]
-        self._membership[left_rows] = True
-        goes_left = self._membership[node.sorted_idx]
-        n_left = pos + 1
-        left_idx = node.sorted_idx[goes_left].reshape(self.n_features, n_left)
-        right_idx = node.sorted_idx[~goes_left].reshape(
-            self.n_features, node.sorted_idx.shape[1] - n_left)
-        self._membership[left_rows] = False
-        return _PendingNode(left_idx, slot_l), _PendingNode(right_idx, slot_r)
+    def _split(self, node: _PendingNode, slot_l: int, slot_r: int, lam, hes):
+        rows = node.rows
+        goes_left = self.bins.codes[rows, node.best_feature] <= node.best_bin
+        left = _PendingNode(rows[goes_left], slot_l)
+        right = _PendingNode(rows[~goes_left], slot_r)
+        small, large = sorted((left, right), key=lambda c: c.rows.shape[0])
+        # A child needs a histogram only if it can still split.
+        if large.rows.shape[0] >= 2 * self.params.min_data_leaf:
+            small.hist = self._histogram(small.rows, lam, hes)
+            # The parent's histogram becomes the larger child's.
+            for a, b in zip(node.hist, small.hist):
+                a -= b
+            lam_h, hes_h, cnt_h = large.hist = node.hist
+            # Bins the larger child lacks hold rounding residue; make them 0.
+            occupied = cnt_h != 0
+            lam_h *= occupied
+            hes_h *= occupied
+            if small.rows.shape[0] < 2 * self.params.min_data_leaf:
+                small.hist = None
+        node.hist = None
+        return left, right
 
     def fit(self, lambdas: np.ndarray, hessians: np.ndarray) -> RegressionTree:
+        lam, hes = lambdas[self.order], hessians[self.order]
         # Every leaf holds at least one row, so the tree has at most this many nodes.
         cap = 2 * min(self.params.num_leaves, max(self.n, 1)) - 1
         feature, left, right = (np.full(cap, -1, dtype=np.int64) for _ in range(3))
@@ -354,21 +437,25 @@ class _TreeBuilder:
         heap = []
 
         def queue_or_leaf(node: _PendingNode) -> None:
-            self._find_best_split(node, lambdas, hessians)
+            self._find_best_split(node, lam, hes)
             if np.isfinite(node.best_gain):
                 # Equal gains split the node made first, the lower slot.
                 heapq.heappush(heap, (-node.best_gain, node.slot, node))
             else:
+                node.hist = None
                 value[node.slot] = self._leaf_value(node.sum_lambda, node.sum_hessian)
 
-        queue_or_leaf(_PendingNode(self.presort, 0))
+        root = _PendingNode(np.arange(self.n), 0)
+        if self.n >= 2 * self.params.min_data_leaf:
+            root.hist = self._histogram(root.rows, lam, hes)
+        queue_or_leaf(root)
         n_nodes = 1
         while heap and n_nodes < cap:
             _, slot, node = heapq.heappop(heap)
             feature[slot], threshold[slot], gain[slot] = (
                 node.best_feature, node.best_threshold, node.best_gain)
             left[slot], right[slot] = n_nodes, n_nodes + 1
-            for child in self._split(node, n_nodes, n_nodes + 1):
+            for child in self._split(node, n_nodes, n_nodes + 1, lam, hes):
                 queue_or_leaf(child)
             n_nodes += 2
         # Anything still splittable but over the leaf budget becomes a leaf.
@@ -495,16 +582,17 @@ def train(train_ds: LtrDataset, valid_ds: LtrDataset, params: TrainParams,
 
 def random_search_tune(train_ds: LtrDataset, valid_ds: LtrDataset, n_trials: int,
                        seed: int, base: TrainParams | None = None,
+                       mask: FeatureMask | None = None,
                        lr_range=(0.01, 0.2), hessian_range=(10.0, 150.0),
-                       min_data_range=(100, 5000)) -> TrainParams:
+                       min_data_range=(100, 5000)) -> Ensemble:
     """Uniform random search over learning rate, hessian floor, and leaf
-    size; returns the configuration with the best validation nDCG."""
+    size; returns the trial with the best validation nDCG, as `train` fits
+    it. Its configuration is in `metadata["params"]`."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     base = base or TrainParams()
     rng = np.random.default_rng(seed)
-    best_params = None
-    best_metric = -np.inf
+    best = None
     for _ in range(n_trials):
         cand = replace(
             base,
@@ -512,12 +600,11 @@ def random_search_tune(train_ds: LtrDataset, valid_ds: LtrDataset, n_trials: int
             min_sum_hessian_leaf=float(rng.uniform(*hessian_range)),
             min_data_leaf=int(rng.integers(min_data_range[0], min_data_range[1] + 1)),
         )
-        ensemble = train(train_ds, valid_ds, cand)
-        metric = ensemble.metadata["best_valid_metric"]
-        if metric > best_metric:
-            best_metric = metric
-            best_params = cand
-    return best_params
+        ensemble = train(train_ds, valid_ds, cand, mask)
+        if best is None or (ensemble.metadata["best_valid_metric"]
+                            > best.metadata["best_valid_metric"]):
+            best = ensemble
+    return best
 
 
 def feature_gains(ensemble: Ensemble) -> dict[int, float]:

@@ -269,15 +269,16 @@ def train_variant(full_train: LtrDataset, full_valid: LtrDataset,
                   tune_trials: int = 0, seed: int = 0,
                   tune_ranges: dict | None = None) -> Ensemble:
     """Fit one feature-mask variant on unmasked datasets: select the mask's
-    columns, optionally random-search the parameters, train, and record the
-    registry the model's features follow."""
+    columns, train (or random-search the parameters and keep the best trial's
+    model), and record the registry the model's features follow."""
     mask = make_mask(registry, variant)
     train_ds = full_train.select_columns(mask.included)
     valid_ds = full_valid.select_columns(mask.included)
     if tune_trials > 0:
-        params = random_search_tune(train_ds, valid_ds, tune_trials, seed,
-                                    base=params, **(tune_ranges or {}))
-    ensemble = train(train_ds, valid_ds, params, mask)
+        ensemble = random_search_tune(train_ds, valid_ds, tune_trials, seed, base=params,
+                                      mask=mask, **(tune_ranges or {}))
+    else:
+        ensemble = train(train_ds, valid_ds, params, mask)
     ensemble.metadata["registry_dim"] = registry.dim
     ensemble.metadata["registry_lexical"] = registry.lexical_count
     return ensemble

@@ -109,22 +109,22 @@ def exit_leaves(compiled: CompiledEnsemble, matrix) -> np.ndarray:
         return np.zeros((n, n_trees), dtype=np.int64)
     feature, threshold, right, roots = (compiled.feature, compiled.threshold,
                                         compiled.right, compiled.roots)
-    node = (right[roots] - (X[:, feature[roots]] <= threshold[roots])).ravel()
+    node = (right.take(roots) - (X[:, feature.take(roots)] <= threshold.take(roots))).ravel()
     flat = np.ascontiguousarray(X).ravel()
     row_base = np.repeat(np.arange(n, dtype=np.int64) * X.shape[1], n_trees)
-    node_right = right[node]
+    node_right = right.take(node)
     live = node_right != node
     while 2 * np.count_nonzero(live) >= live.shape[0]:
-        node = node_right - (flat[row_base + feature[node]] <= threshold[node])
-        node_right = right[node]
+        node = node_right - (flat.take(row_base + feature.take(node)) <= threshold.take(node))
+        node_right = right.take(node)
         live = node_right != node
     act = np.flatnonzero(live)
-    act_base, act_right = row_base[act], node_right[act]
+    act_base, act_right = row_base.take(act), node_right.take(act)
     while act.shape[0]:
-        at = node[act]
-        nxt = act_right - (flat[act_base + feature[at]] <= threshold[at])
+        at = node.take(act)
+        nxt = act_right - (flat.take(act_base + feature.take(at)) <= threshold.take(at))
         node[act] = nxt
-        nxt_right = right[nxt]
+        nxt_right = right.take(nxt)
         keep = nxt_right != nxt
         act, act_base, act_right = act[keep], act_base[keep], nxt_right[keep]
     return node.reshape(n, n_trees)

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blendrank import ltr
 from blendrank.corpus import Corpus, Qrels, QuerySet, build_inverted_index
 from blendrank.embeddings import EmbeddingMatrix
 from blendrank.features import FeatureExtractor
 from blendrank.ivf import Ranking
-from blendrank.ltr import (Ensemble, LtrDataset, LtrGroup, RegressionTree, TrainParams,
-                           build_training_set, compute_lambdas,
+from blendrank.ltr import (MAX_BINS, Ensemble, LtrDataset, LtrGroup, RegressionTree, TrainParams,
+                           bin_features, build_training_set, compute_lambdas,
                            feature_gains, fit_tree, forest_fault, load_model,
                            ndcg_from_scores, random_search_tune, save_model,
                            train, write_train_log, EPS, LEAF_CLAMP)
@@ -303,6 +304,190 @@ class TestFitTree:
         np.testing.assert_array_equal(batch, ones)
 
 
+def brute_binned_split(X, lambdas, hessians, min_data, min_hessian):
+    """Enumerate every (feature, bin) split of the binned matrix and apply the
+    tie rule. The left side is the rows whose code is at most the split bin;
+    the threshold is the midpoint between the largest left value and the
+    smallest right one that is not NaN, or the largest left value."""
+    codes = bin_features(X).codes
+    n, f_count = X.shape
+    best = None  # (gain, feature, threshold)
+    tot_l, tot_h = lambdas.sum(), hessians.sum()
+    parent = tot_l ** 2 / (tot_h + EPS)
+    for f in range(f_count):
+        numbers = ~np.isnan(X[:, f])
+        for b in sorted(set(codes[numbers, f].tolist())):
+            left = codes[:, f] <= b
+            nl = int(left.sum())
+            if nl < min_data or n - nl < min_data:
+                continue
+            hl, hr = hessians[left].sum(), hessians[~left].sum()
+            if hl < min_hessian or hr < min_hessian:
+                continue
+            ll, lr = lambdas[left].sum(), lambdas[~left].sum()
+            gain = ll ** 2 / (hl + EPS) + lr ** 2 / (hr + EPS) - parent
+            if gain <= 0:
+                continue
+            lo = X[left, f].max()
+            right = X[~left & numbers, f]
+            thr = lo
+            if right.shape[0]:
+                mid = (lo + right.min()) / 2.0
+                thr = mid if lo <= mid < right.min() else lo
+            if best is None or gain > best[0] + 1e-12:
+                best = (gain, f, thr)
+    return best
+
+
+def node_rows(tree, X):
+    """{node: the rows of X that reach it}."""
+    reach = {0: np.arange(X.shape[0])}
+    for i in range(tree.n_nodes):
+        rows = reach.get(i)
+        if rows is not None and tree.feature[i] >= 0:
+            goes_left = X[rows, tree.feature[i]] <= tree.threshold[i]
+            reach[tree.left[i]], reach[tree.right[i]] = rows[goes_left], rows[~goes_left]
+    return reach
+
+
+def wide_matrix(rng, n, n_features, nan_share=0.0):
+    """Columns with far more than MAX_BINS distinct values, some tied, some NaN."""
+    X = rng.normal(size=(n, n_features))
+    X[:, ::2] = np.round(X[:, ::2], 2)
+    X[rng.random(X.shape) < nan_share] = np.nan
+    return X
+
+
+class TestBinnedLearner:
+    def test_bins_are_ordered_runs_of_training_values(self):
+        rng = np.random.default_rng(50)
+        X = wide_matrix(rng, 900, 4, nan_share=0.1)
+        X[:, 3] = rng.integers(0, 7, 900)
+        bins = bin_features(X)
+        for f in range(X.shape[1]):
+            col, code = X[:, f], bins.codes[:, f].astype(np.int64)
+            b = bins.n_values[f]
+            numbers = ~np.isnan(col)
+            assert b + (~numbers).any() <= MAX_BINS
+            np.testing.assert_array_equal(code[~numbers], b)
+            order = np.argsort(col[numbers], kind="stable")
+            assert (np.diff(code[numbers][order]) >= 0).all()
+            for v in range(b):
+                in_bin = col[code == v]
+                assert in_bin.min() == bins.lower[f, v] and in_bin.max() == bins.upper[f, v]
+        assert bins.n_values[3] == 7
+
+    def test_wide_feature_split_matches_binned_brute_force(self):
+        rng = np.random.default_rng(51)
+        for trial in range(6):
+            X = wide_matrix(rng, 600, 3, nan_share=0.05 * (trial % 2))
+            lam = rng.normal(size=600) + (np.nan_to_num(X[:, trial % 3]) > 0.3)
+            hes = rng.uniform(0.1, 1.0, size=600)
+            min_data = int(rng.integers(1, 40))
+            assert len(set(X[:, 1].tolist())) > MAX_BINS
+            tree = fit_tree(X, lam, hes, leaf_params(num_leaves=2, min_data_leaf=min_data))
+            want = brute_binned_split(X, lam, hes, min_data, 0.0)
+            assert want is not None
+            assert tree.feature[0] == want[1], f"trial {trial}"
+            assert tree.threshold[0] == want[2]
+            assert abs(tree.gain[0] - want[0]) < 1e-9
+
+    def test_nan_rows_go_right_and_never_set_a_threshold(self):
+        X = np.array([1.0, 2.0, 3.0, np.nan, np.nan, np.nan]).reshape(-1, 1)
+        lam = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+        tree = fit_tree(X, lam, np.ones(6), leaf_params(num_leaves=2))
+        assert tree.threshold[0] == 3.0
+        np.testing.assert_array_equal(np.sign(tree.predict_batch(X)), np.sign(lam))
+        rng = np.random.default_rng(52)
+        X = wide_matrix(rng, 400, 3, nan_share=0.3)
+        X[:, 2] = np.nan
+        tree = fit_tree(X, rng.normal(size=400), rng.uniform(0.1, 1.0, 400),
+                        leaf_params(num_leaves=12, min_data_leaf=3))
+        inner = tree.feature >= 0
+        assert inner.any() and np.isfinite(tree.threshold[inner]).all()
+        assert 2 not in tree.feature.tolist()
+        reach = node_rows(tree, X)
+        for i, rows in reach.items():
+            if tree.feature[i] >= 0:
+                nan_rows = rows[np.isnan(X[rows, tree.feature[i]])]
+                assert np.isin(nan_rows, reach[tree.right[i]]).all()
+
+    def test_every_threshold_splits_the_rows_as_their_codes_do(self):
+        rng = np.random.default_rng(53)
+        for trial in range(4):
+            X = wide_matrix(rng, 700, 4, nan_share=0.08)
+            codes = bin_features(X).codes
+            tree = fit_tree(X, rng.normal(size=700), rng.uniform(0.1, 1.0, 700),
+                            leaf_params(num_leaves=24, min_data_leaf=4))
+            assert tree.n_leaves > 8
+            for i, rows in node_rows(tree, X).items():
+                f = tree.feature[i]
+                if f < 0:
+                    continue
+                goes_left = X[rows, f] <= tree.threshold[i]
+                assert 0 < goes_left.sum() < rows.shape[0]
+                # One bin b: the rows at or below it go left, the others right.
+                b = codes[rows[goes_left], f].max()
+                np.testing.assert_array_equal(goes_left, codes[rows, f] <= b)
+
+    def test_larger_child_histogram_equals_a_direct_one(self, monkeypatch):
+        rng = np.random.default_rng(54)
+        X = wide_matrix(rng, 500, 3, nan_share=0.05)
+        lam, hes = rng.normal(size=500), rng.uniform(0.1, 1.0, 500)
+        real_split = ltr._TreeBuilder._split
+        checked = []
+
+        def split_and_check(builder, node, *args):
+            children = real_split(builder, node, *args)
+            large = max(children, key=lambda c: c.rows.shape[0])
+            if large.hist is not None:
+                direct = builder._histogram(large.rows, *args[2:])
+                np.testing.assert_array_equal(large.hist[2], direct[2])
+                np.testing.assert_allclose(large.hist[0], direct[0], rtol=0, atol=1e-9)
+                np.testing.assert_allclose(large.hist[1], direct[1], rtol=0, atol=1e-9)
+                checked.append(large.rows.shape[0])
+            return children
+
+        monkeypatch.setattr(ltr._TreeBuilder, "_split", split_and_check)
+        fit_tree(X, lam, hes, leaf_params(num_leaves=16, min_data_leaf=5))
+        assert len(checked) >= 5
+
+    def test_one_seed_twice_gives_the_same_model_bytes(self, tmp_path):
+        params = train_params(num_leaves=16, min_data_leaf=3, max_trees=6)
+        paths = []
+        for run in range(2):
+            model = train(wide_dataset(55), wide_dataset(56), params)
+            assert model.n_trees > 0
+            paths.append(tmp_path / f"run{run}.json")
+            save_model(model, paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_group_permutation_leaves_the_binned_model_unchanged(self, tmp_path):
+        # Quantile bins hold many rows each, so their sums must not follow
+        # the order the rows come in.
+        ds = wide_dataset(57)
+        rng = np.random.default_rng(1)
+        shuffled = []
+        for g in ds.groups:
+            p = rng.permutation(g.features.shape[0])
+            shuffled.append(LtrGroup(g.query_id, g.features[p], g.labels[p], g.doc_ids[p]))
+        params = train_params(num_leaves=16, min_data_leaf=3, max_trees=6)
+        for name, train_ds in (("a", ds), ("b", LtrDataset(shuffled))):
+            save_model(train(train_ds, wide_dataset(58), params), tmp_path / f"{name}.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def wide_dataset(seed):
+    """30 groups of 20 rows whose features have more than MAX_BINS distinct values."""
+    rng = np.random.default_rng(seed)
+    groups = []
+    for g in range(30):
+        X = wide_matrix(rng, 20, 4, nan_share=0.05)
+        y = (np.nan_to_num(X[:, 1]) > 0.5).astype(np.int64)
+        groups.append(LtrGroup(f"q{g}", X, y, np.arange(20, dtype=np.int64)))
+    return LtrDataset(groups)
+
+
 # ----------------------------------------------------------------------------
 # Training set construction
 # ----------------------------------------------------------------------------
@@ -371,6 +556,22 @@ class TestBuildTrainingSet:
         b = build_training_set(queries, qrels, rankings, corpus, ex,
                                {"q1": np.ones(4)}, 10, seed=4)
         assert a.groups[0].doc_ids.tolist() == b.groups[0].doc_ids.tolist()
+
+    def test_rows_are_the_merged_candidates_features(self):
+        corpus, ex = tiny_world()
+        queries = QuerySet(["q1"], ["w1 w4 w2"])
+        qrels = Qrels({("q1", "d30"): 2, ("q1", "d7"): 1, ("q1", "d45"): 1})
+        ranked = np.random.default_rng(3).permutation(40)
+        rankings = {"q1": self.ranking(ranked)}
+        group = build_training_set(queries, qrels, rankings, corpus, ex,
+                                   {"q1": np.ones(4)}, n_neg=12, seed=2).groups[0]
+        merged = np.append(ranked, 45)  # d45 was not retrieved
+        full = ex.feature_matrix(ex.tokenize_query("w1 w4 w2"), np.ones(4), merged)
+        position = {int(d): p for p, d in enumerate(merged)}
+        assert group.doc_ids[:3].tolist() == [7, 30, 45]
+        assert group.labels.tolist() == [1, 2, 1] + [0] * 12
+        np.testing.assert_array_equal(
+            group.features, full[[position[int(d)] for d in group.doc_ids]])
 
     def test_unknown_qrels_doc_ids_ignored(self):
         corpus, ex = tiny_world()
@@ -610,20 +811,23 @@ class TestNdcgFromScores:
 class TestRandomSearch:
     def test_single_trial_returns_that_config(self):
         base = train_params(max_trees=3)
-        got = random_search_tune(synthetic_dataset(20), synthetic_dataset(21),
-                                 1, seed=5, base=base,
-                                 min_data_range=(1, 4))
-        assert isinstance(got, TrainParams)
+        ensemble = random_search_tune(synthetic_dataset(20), synthetic_dataset(21),
+                                      1, seed=5, base=base,
+                                      min_data_range=(1, 4))
+        got = TrainParams(**ensemble.metadata["params"])
         assert 0.01 <= got.learning_rate <= 0.2
+        assert replace(got, learning_rate=base.learning_rate,
+                       min_sum_hessian_leaf=base.min_sum_hessian_leaf,
+                       min_data_leaf=base.min_data_leaf) == base
 
     def test_deterministic(self):
         base = train_params(max_trees=3)
         kw = dict(base=base, min_data_range=(1, 4))
         a = random_search_tune(synthetic_dataset(22), synthetic_dataset(23), 4, 9, **kw)
         b = random_search_tune(synthetic_dataset(22), synthetic_dataset(23), 4, 9, **kw)
-        assert a == b
+        assert a.metadata["params"] == b.metadata["params"]
 
-    def test_winner_is_argmax(self):
+    def test_winner_is_argmax(self, tmp_path):
         base = train_params(max_trees=3)
         tr, va = synthetic_dataset(24), synthetic_dataset(25)
         rng = np.random.default_rng(13)
@@ -634,9 +838,14 @@ class TestRandomSearch:
                            min_sum_hessian_leaf=float(rng.uniform(10.0, 150.0)),
                            min_data_leaf=int(rng.integers(1, 5)))
             trials.append((cand, train(tr, va, cand).metadata["best_valid_metric"]))
-        got = random_search_tune(tr, va, 4, seed=13, base=base, min_data_range=(1, 4))
+        ensemble = random_search_tune(tr, va, 4, seed=13, base=base, min_data_range=(1, 4))
+        got = TrainParams(**ensemble.metadata["params"])
         best_by_hand = max(trials, key=lambda t: t[1])[0]
         assert got == best_by_hand
+        # The kept trial's model is the one a refit of the winner gives.
+        save_model(ensemble, tmp_path / "kept.json")
+        save_model(train(tr, va, got), tmp_path / "refit.json")
+        assert (tmp_path / "kept.json").read_bytes() == (tmp_path / "refit.json").read_bytes()
 
 
 class TestFeatureGains:

@@ -297,6 +297,36 @@ class TestTrainPipeline:
         np.testing.assert_array_equal(models["lexical"].score_batch(X),
                                       single.score_batch(X))
 
+    def test_tuning_fits_each_trial_once_and_keeps_the_winner(self, world, monkeypatch,
+                                                               tmp_path):
+        from blendrank import ltr, pipeline
+        from blendrank.pipeline import build_blended_datasets, train_variant
+        data, pipe = world
+        full_tr, full_va = build_blended_datasets(pipe, data.queries.subset(range(20)),
+                                                  data.queries.subset(range(20, 28)),
+                                                  data.qrels, 10, 3)
+        params = TrainParams(learning_rate=0.15, num_leaves=8, min_sum_hessian_leaf=0.0,
+                             min_data_leaf=5, patience=3, max_trees=4)
+        ranges = {"min_data_range": (1, 5), "hessian_range": (0.0, 1.0)}
+        registry = pipe.extractor.registry
+        real_train = ltr.train
+        calls = []
+
+        def counted_train(*args, **kwargs):
+            calls.append(args[2])
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(ltr, "train", counted_train)
+        monkeypatch.setattr(pipeline, "train", counted_train)
+        tuned = train_variant(full_tr, full_va, registry, "lexical", params,
+                              tune_trials=3, seed=4, tune_ranges=ranges)
+        assert len(calls) == 3
+        refit = train_variant(full_tr, full_va, registry, "lexical",
+                              TrainParams(**tuned.metadata["params"]))
+        ltr.save_model(tuned, tmp_path / "tuned.json")
+        ltr.save_model(refit, tmp_path / "refit.json")
+        assert (tmp_path / "tuned.json").read_bytes() == (tmp_path / "refit.json").read_bytes()
+
 
 class TestDatasetFiles:
     def test_round_trip(self, world, tmp_path):
