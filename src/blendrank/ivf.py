@@ -11,6 +11,10 @@ score, every candidate scoring at least that much (ties included) is kept,
 and only those are sorted under the tie rule. The same selection orders the
 centroids to probe. The probed lists' vectors are gathered into one matrix
 and scored with a single product; scoring list by list changes score bits.
+
+k-means and list assignment take distances one block of rows at a time, with
+the whole-matrix arithmetic. Blocks are near-equal in size: a product over a
+few rows can round differently from the same rows of a larger product.
 """
 
 from __future__ import annotations
@@ -66,32 +70,53 @@ class Ranking:
         return [(int(i), float(s), r + 1) for r, (i, s) in enumerate(zip(self.ids, self.scores))]
 
 
-def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances, points (n,D) x centers (k,D) -> (n,k)."""
-    p2 = np.einsum("ij,ij->i", points, points)
+BLOCK_ROWS = 2048
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Bounds of ceil(n / BLOCK_ROWS) row blocks whose sizes differ by at most 1."""
+    nb = -(-n // BLOCK_ROWS)
+    return [(i * n // nb, (i + 1) * n // nb) for i in range(nb)]
+
+
+def _nearest(points: np.ndarray, p2: np.ndarray,
+             centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's nearest center and squared distance to it, as p2 - 2<p, c>
+    + c2 clipped at 0, one row block at a time (p2: the points' squared norms)."""
     c2 = np.einsum("ij,ij->i", centers, centers)
-    d = p2[:, None] - 2.0 * points @ centers.T + c2[None, :]
-    np.maximum(d, 0.0, out=d)
-    return d
+    assign, dist = np.empty(points.shape[0], dtype=np.int64), np.empty(points.shape[0])
+    for a, b in _row_blocks(points.shape[0]):
+        d = points[a:b] @ centers.T
+        d *= 2.0
+        np.subtract(p2[a:b, None], d, out=d)
+        d += c2
+        np.maximum(d, 0.0, out=d)
+        assign[a:b] = np.argmin(d, axis=1)
+        dist[a:b] = d[np.arange(b - a), assign[a:b]]
+    return assign, dist
 
 
 def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ initialization: probability proportional to squared distance."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    closest = np.einsum("ij,ij->i", points - centers[0], points - centers[0])
-    for c in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            # All remaining mass at distance zero: spread over arbitrary points.
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=closest / total))
+    blocks = _row_blocks(n)
+    diff = np.empty((max(b - a for a, b in blocks), points.shape[1]))
+    closest = np.full(n, np.inf)
+    idx = int(rng.integers(n))
+    for c in range(k):
+        if c:
+            total = closest.sum()
+            if total <= 0.0:
+                # All remaining mass at distance zero: spread over arbitrary points.
+                idx = int(rng.integers(n))
+            else:
+                idx = int(rng.choice(n, p=closest / total))
         centers[c] = points[idx]
-        diff = points - centers[c]
-        np.minimum(closest, np.einsum("ij,ij->i", diff, diff), out=closest)
+        for a, b in blocks:
+            np.subtract(points[a:b], centers[c], out=diff[:b - a])
+            sq = np.einsum("ij,ij->i", diff[:b - a], diff[:b - a])
+            np.minimum(closest[a:b], sq, out=closest[a:b])
     return centers
 
 
@@ -101,6 +126,8 @@ def train_kmeans(vectors: EmbeddingMatrix, nlist: int, max_iters: int = 25,
 
     Empty clusters are reseeded to the point currently farthest from its
     centroid. Stops after max_iters or when the assignment is stable.
+    Distances are taken one row block at a time; a centroid is the mean of
+    its members, summed in ascending point order.
     """
     points = vectors.rows.astype(np.float64)
     n = points.shape[0]
@@ -110,11 +137,10 @@ def train_kmeans(vectors: EmbeddingMatrix, nlist: int, max_iters: int = 25,
         raise ValueError("max_iters must be >= 1")
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_seed(points, nlist, rng)
+    p2 = np.einsum("ij,ij->i", points, points)
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iters):
-        d = _sq_distances(points, centers)
-        new_assign = np.argmin(d, axis=1)
-        dist_to_own = d[np.arange(n), new_assign]
+        new_assign, dist_to_own = _nearest(points, p2, centers)
         counts = np.bincount(new_assign, minlength=nlist)
         for empty in np.flatnonzero(counts == 0):
             far = int(np.argmax(dist_to_own))
@@ -126,10 +152,10 @@ def train_kmeans(vectors: EmbeddingMatrix, nlist: int, max_iters: int = 25,
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for c in range(nlist):
-            members = points[assign == c]
-            if members.shape[0]:
-                centers[c] = members.mean(axis=0)
+        order = np.argsort(assign, kind="stable")
+        full = counts > 0
+        starts = (np.cumsum(counts) - counts)[full]
+        centers[full] = np.add.reduceat(points[order], starts, axis=0) / counts[full, None]
     return Centroids(centers)
 
 
@@ -150,7 +176,11 @@ class IvfIndex:
         self.ids = np.asarray(ids, dtype=np.int64)
         self.vectors = np.asarray(vectors, dtype=np.float32)
         self.metric = metric
-        self.norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """The list vectors' norms; only cosine search reads them."""
+        return np.linalg.norm(self.vectors.astype(np.float64), axis=1)
 
     @cached_property
     def centroid_norms(self) -> np.ndarray:
@@ -180,10 +210,9 @@ def build_ivf(vectors: EmbeddingMatrix, centroids: Centroids, metric: str = "dot
     if vectors.dim != centroids.dim:
         raise ValueError(f"dimension mismatch: vectors {vectors.dim}, centroids {centroids.dim}")
     points = vectors.rows.astype(np.float64)
-    assign = np.argmin(_sq_distances(points, centroids.vectors), axis=1)
-    order = np.lexsort((np.arange(points.shape[0]), assign))
-    sorted_assign = assign[order]
-    counts = np.bincount(sorted_assign, minlength=centroids.k)
+    assign, _ = _nearest(points, np.einsum("ij,ij->i", points, points), centroids.vectors)
+    order = np.argsort(assign, kind="stable")
+    counts = np.bincount(assign, minlength=centroids.k)
     offsets = np.zeros(centroids.k + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return IvfIndex(centroids, offsets, order.astype(np.int64),
