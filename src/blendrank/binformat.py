@@ -30,9 +30,10 @@ class SectionReader:
     def fail(self, section: str, message: str) -> ValueError:
         return ValueError(f"{self.path}: {section} section {message}")
 
-    def _take(self, section: str, size: int) -> int:
+    def take(self, section: str, size: int) -> int:
+        """Claim the next `size` bytes for `section`; returns where they start."""
         start, end = self.offset, self.offset + size
-        if end > len(self.data):
+        if size < 0 or end > len(self.data):
             raise self.fail(section, f"truncated: the header implies bytes {start}-{end}, "
                                      f"the file has {len(self.data)}")
         self.offset, self.section = end, section
@@ -40,16 +41,16 @@ class SectionReader:
 
     def fields(self, section: str, fmt: str) -> tuple:
         """Unpack one struct, e.g. a header."""
-        return struct.unpack_from(fmt, self.data, self._take(section, struct.calcsize(fmt)))
+        return struct.unpack_from(fmt, self.data, self.take(section, struct.calcsize(fmt)))
 
     def raw(self, section: str, size: int) -> bytes:
-        start = self._take(section, size)
+        start = self.take(section, size)
         return self.data[start:start + size]
 
     def array(self, section: str, dtype: str, count: int) -> np.ndarray:
         """`count` items of `dtype`, copied so the array is aligned and owned."""
         dtype = np.dtype(dtype)
-        start = self._take(section, dtype.itemsize * count)
+        start = self.take(section, dtype.itemsize * count)
         return np.frombuffer(self.data, dtype=dtype, count=count, offset=start).copy()
 
     def end(self) -> None:

@@ -11,6 +11,7 @@ import functools
 import io
 import re
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,40 +185,55 @@ def load_qrels(path) -> Qrels:
     return Qrels(judgments)
 
 
+class _ByTerm(Mapping):
+    """A read-only term -> value mapping over an index's flat arrays."""
+
+    def __init__(self, term_index: dict[str, int], value):
+        self._term_index, self._value = term_index, value
+
+    def __getitem__(self, term: str):
+        return self._value(self._term_index[term])
+
+    def __iter__(self):
+        return iter(self._term_index)
+
+    def __len__(self) -> int:
+        return len(self._term_index)
+
+
 class InvertedIndex:
-    """Positional inverted index with collection statistics.
+    """Positional inverted index with collection statistics, in one flat layout:
+    term i (of the sorted terms) has postings ids[offsets[i]:offsets[i + 1]]
+    (sorted int64 document ids) with their tfs, and posting k has sorted int32
+    positions[run_starts[k]:run_starts[k + 1]]. postings (term -> (ids, tfs,
+    positions)), df and cf are read-only mappings over these arrays."""
 
-    postings maps term -> (ids, tfs, positions) where ids is a sorted int64
-    array of internal document ids, tfs the matching term frequencies, and
-    positions the postings' sorted int32 position runs laid end to end, as
-    CRIX1 stores them: posting k's run holds tfs[k] positions.
-    """
-
-    def __init__(self, postings: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
-                 doc_len: np.ndarray, stemmed: bool = False):
-        self.postings = postings
+    def __init__(self, terms: list[str], df, ids: np.ndarray, tfs: np.ndarray,
+                 positions: np.ndarray, doc_len: np.ndarray, stemmed: bool = False):
+        self.terms = terms
+        self.term_index = {t: i for i, t in enumerate(terms)}
+        self.offsets = o = np.concatenate(([0], np.cumsum(df, dtype=np.int64)))
+        self.ids = ids = np.asarray(ids, dtype=np.int64)
+        self.tfs = tfs = np.asarray(tfs, dtype=np.int64)
+        self.positions = positions = np.asarray(positions, dtype=np.int32)
+        self.run_starts = r = np.concatenate(([0], np.cumsum(tfs)))
         self.doc_len = np.asarray(doc_len, dtype=np.int64)
         self.stemmed = stemmed
         self.n_docs = int(self.doc_len.shape[0])
         self.total_tokens = int(self.doc_len.sum())
         self.avg_doc_len = self.total_tokens / self.n_docs if self.n_docs else 0.0
-        self.df = {t: int(p[0].shape[0]) for t, p in postings.items()}
-        self.cf = {t: int(p[1].sum()) for t, p in postings.items()}
-        # Posting k's run is positions[run_bounds[term][k]:run_bounds[term][k + 1]].
-        self.run_bounds: dict[str, np.ndarray] = {}
-        # Derived per-document statistics used by the lexical features.
-        self.unique_terms = np.zeros(self.n_docs, dtype=np.int64)
-        sq_norm = np.zeros(self.n_docs, dtype=np.float64)
-        # Terms in sorted order, as CRIX1 stores them, so that a built index
-        # and its loaded copy sum each norm in the same order.
-        for term in sorted(postings):
-            ids, tfs, _ = postings[term]
-            self.run_bounds[term] = np.concatenate(([0], np.cumsum(tfs)))
-            self.unique_terms[ids] += 1
-            idf = self.idf(term)
-            w = tfs.astype(np.float64) * idf
-            sq_norm[ids] += w * w
-        self.tfidf_norm = np.sqrt(sq_norm)
+        df, cf = np.diff(o), np.diff(r[o])
+        self.df = _ByTerm(self.term_index, lambda i: int(df[i]))
+        self.cf = _ByTerm(self.term_index, lambda i: int(cf[i]))
+        self.postings = _ByTerm(self.term_index, lambda i: (
+            ids[o[i]:o[i + 1]], tfs[o[i]:o[i + 1]], positions[r[o[i]]:r[o[i + 1]]]))
+        self.unique_terms = np.bincount(ids, minlength=self.n_docs)
+        # bincount adds each document's squared weights in sorted term order,
+        # as the ids lie, so a built index and its loaded copy sum them alike.
+        w = np.repeat(np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0), df)
+        w *= tfs
+        w *= w
+        self.tfidf_norm = np.sqrt(np.bincount(ids, w, self.n_docs))
 
     def idf(self, term: str) -> float:
         """ln((N - df + 0.5) / (df + 0.5) + 1); defined (and large) for unseen terms."""
@@ -242,10 +258,10 @@ def build_inverted_index(corpus: Corpus, stem: bool = False) -> InvertedIndex:
             ids.append(internal_id)
             tfs.append(len(positions))
             pos.extend(positions)
-    postings = {term: (np.array(ids, dtype=np.int64), np.array(tfs, dtype=np.int64),
-                       np.array(pos, dtype=np.int32))
-                for term, (ids, tfs, pos) in acc.items()}
-    return InvertedIndex(postings, doc_len, stemmed=stem)
+    terms = sorted(acc)
+    flat = [np.array([v for t in terms for v in acc[t][j]], dtype)
+            for j, dtype in enumerate((np.int64, np.int64, np.int32))]
+    return InvertedIndex(terms, [len(acc[t][0]) for t in terms], *flat, doc_len, stemmed=stem)
 
 
 def save_inverted_index(index: InvertedIndex, path) -> None:
@@ -254,23 +270,63 @@ def save_inverted_index(index: InvertedIndex, path) -> None:
     buf.write(INDEX_MAGIC)
     buf.write(struct.pack("<BIQ", 1 if index.stemmed else 0, index.n_docs, index.total_tokens))
     buf.write(index.doc_len.astype("<i8").tobytes())
-    terms = sorted(index.postings)
-    buf.write(struct.pack("<I", len(terms)))
-    for term in terms:
+    buf.write(struct.pack("<I", len(index.terms)))
+    for term, (ids, tfs, pos) in index.postings.items():
         raw = term.encode("utf-8")
-        ids, tfs, pos = index.postings[term]
-        buf.write(struct.pack("<HI", len(raw), ids.shape[0]))
-        buf.write(raw)
-        buf.write(ids.astype("<i8").tobytes())
-        buf.write(tfs.astype("<i8").tobytes())
-        buf.write(pos.astype("<i4").tobytes())
+        buf.writelines((struct.pack("<HI", len(raw), ids.shape[0]), raw, ids.astype("<i8"),
+                        tfs.astype("<i8"), pos.astype("<i4")))
     with open(path, "wb") as f:
         f.write(buf.getvalue())
 
 
+def _falls(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Whether each element is not above the one before it in its run (runs begin at `starts`)."""
+    out = np.zeros(values.shape[0] + 1, dtype=bool)  # starts may hold len(values)
+    np.less_equal(values[1:], values[:-1], out=out[1:-1])
+    out[starts] = False
+    return out[:-1]
+
+
+def _first(bad: np.ndarray, starts: np.ndarray) -> int:
+    """The run (runs begin at `starts`) holding the first True, or holding len(bad) if none."""
+    i = int(bad.argmax()) if bad.any() else bad.shape[0]
+    return int(np.searchsorted(starts, i, side="right")) - 1
+
+
+def _check_postings(r: SectionReader, terms: list[str], df: list[int], ids: np.ndarray,
+                    tfs: np.ndarray, pos: np.ndarray, n_tfs: int, n_pos: int,
+                    doc_len: np.ndarray) -> None:
+    """Raise the error that checking each term's ids, tfs and positions in turn
+    would meet first. ids, tfs and pos hold the first len(df), n_tfs and n_pos
+    terms' arrays. Each check looks only at the terms before the first fault
+    found so far, where ids index doc_len and tfs mark out the runs."""
+    n, offsets = doc_len.shape[0], np.concatenate(([0], np.cumsum(df, dtype=np.int64)))
+    limit = min(_first((ids < 0) | (ids >= n) | _falls(ids, offsets[:-1]), offsets),
+                df.index(0) if 0 in df else len(df))
+    fault = ("ids", f"must strictly increase within 0..{n - 1}") if limit < len(df) else None
+    upper = min(limit, n_tfs)
+    lens = doc_len[ids[:offsets[upper]]]
+    t = _first((tfs[:lens.shape[0]] < 1) | (tfs[:lens.shape[0]] > lens), offsets)
+    if t < upper:
+        fault, limit = ("tfs", "must lie in 1..doc_len"), t
+    upper = min(limit, n_pos)
+    runs = np.concatenate(([0], np.cumsum(tfs[:offsets[upper]])))
+    p = pos[:runs[-1]]
+    t = _first(_falls(p, runs[:-1]), runs[offsets[:upper + 1]])
+    bad = p[runs[:-1]] < 0  # the runs rise, so their first and last positions bound them
+    runs[1:] -= 1
+    t = min(t, _first(bad | (p[runs[1:]] >= lens[:bad.shape[0]]), offsets))
+    if t < upper:
+        fault, limit = ("positions", "must strictly increase within each posting and "
+                                     "lie in 0..doc_len-1"), t
+    if fault is not None:
+        raise r.fail(fault[0], f"of {terms[limit]!r} {fault[1]}")
+
+
 def load_inverted_index(path) -> InvertedIndex:
     """Read a CRIX1 file; a damaged or inconsistent file raises ValueError
-    naming the path and the section at fault."""
+    naming the path, the section at fault and, for a term's arrays, the term.
+    One walk finds where each term's arrays lie; they are checked joined."""
     r = SectionReader(path, INDEX_MAGIC)
     stemmed, n_docs, total_tokens = r.fields("header", "<BIQ")
     if stemmed > 1:
@@ -282,33 +338,33 @@ def load_inverted_index(path) -> InvertedIndex:
         raise r.fail("doc_len", f"must lie in 0..{_MAX_DOC_LEN} and sum to the "
                                 f"header's total_tokens {total_tokens}")
     (n_terms,) = r.fields("term count", "<I")
-    postings = {}
-    doc_tokens = np.zeros(n_docs, dtype=np.int64)
-    prev = None
-    for _ in range(n_terms):
-        term_len, df = r.fields("term header", "<HI")
-        try:
-            term = r.raw("term", term_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise r.fail("term", "is not UTF-8") from None
-        if prev is not None and term <= prev:
-            raise r.fail("term", f"{term!r} does not sort after {prev!r}")
-        prev = term
-        ids = r.array("ids", "<i8", df)
-        if df == 0 or ids[0] < 0 or ids[-1] >= n_docs or np.any(ids[1:] <= ids[:-1]):
-            raise r.fail("ids", f"of {term!r} must strictly increase within 0..{n_docs - 1}")
-        tfs = r.array("tfs", "<i8", df)
-        if np.any((tfs < 1) | (tfs > doc_len[ids])):
-            raise r.fail("tfs", f"of {term!r} must lie in 1..doc_len")
-        pos = r.array("positions", "<i4", int(tfs.sum()))
-        rises = pos[1:] > pos[:-1]
-        rises[(np.cumsum(tfs) - 1)[:-1]] = True  # a new run may start lower
-        if pos.min() < 0 or np.any(pos >= np.repeat(doc_len[ids], tfs)) or not rises.all():
-            raise r.fail("positions", f"of {term!r} must strictly increase within "
-                                      "each posting and lie in 0..doc_len-1")
-        doc_tokens[ids] += tfs
-        postings[term] = (ids, tfs, pos)
-    r.end()
-    if not np.array_equal(doc_tokens, doc_len):
+    terms, views, walk_error = [], ([], [], []), None  # views of ids, tfs and positions
+    try:
+        for _ in range(n_terms):
+            term_len, df = r.fields("term header", "<HI")
+            try:
+                term = r.raw("term", term_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise r.fail("term", "is not UTF-8") from None
+            if terms and term <= terms[-1]:
+                raise r.fail("term", f"{term!r} does not sort after {terms[-1]!r}")
+            terms.append(term)
+            views[0].append(np.frombuffer(r.data, "<i8", df, r.take("ids", 8 * df)))
+            views[1].append(np.frombuffer(r.data, "<i8", df, r.take("tfs", 8 * df)))
+            n_pos = int(views[1][-1].sum())
+            views[2].append(np.frombuffer(r.data, "<i4", n_pos, r.take("positions", 4 * n_pos)))
+        r.end()
+    except ValueError as e:
+        # A bad tf misplaces what follows it: the walked terms are checked first.
+        walk_error = e
+    df, n_tfs, n_pos = [v.shape[0] for v in views[0]], len(views[1]), len(views[2])
+    ids, tfs, pos = (np.concatenate([np.empty(0, dtype), *v])
+                     for v, dtype in zip(views, ("<i8", "<i8", "<i4")))
+    del views, r.data  # free the file's bytes before the checks
+    _check_postings(r, terms, df, ids, tfs, pos, n_tfs, n_pos, doc_len)
+    if walk_error is not None:
+        raise walk_error
+    # Exact in float64: the tfs are positive, so a sum past 2**53 exceeds any doc_len.
+    if not np.array_equal(np.bincount(ids, tfs, n_docs), doc_len):
         raise r.fail("doc_len", "does not equal each document's position total")
-    return InvertedIndex(postings, doc_len, stemmed=bool(stemmed))
+    return InvertedIndex(terms, df, ids, tfs, pos, doc_len, stemmed=bool(stemmed))

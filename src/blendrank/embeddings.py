@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,9 @@ EMBEDDING_MAGIC = b"CREM1"
 
 @dataclass
 class EmbeddingMatrix:
-    """Row-per-document matrix (f32 storage); norms cached in f64."""
+    """Row-per-document matrix (f32 storage)."""
 
     rows: np.ndarray
-    norms: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float32)
@@ -34,8 +33,11 @@ class EmbeddingMatrix:
             raise ValueError("embedding matrix must be 2-dimensional")
         if not np.isfinite(self.rows).all():
             raise ValueError("embedding matrix contains non-finite values")
-        if self.norms is None:
-            self.norms = np.linalg.norm(self.rows.astype(np.float64), axis=1)
+
+    @functools.cached_property
+    def norms(self) -> np.ndarray:
+        """The rows' f64 norms, computed at first read; only cosine scoring reads them."""
+        return np.linalg.norm(self.rows.astype(np.float64), axis=1)
 
     @property
     def n_rows(self) -> int:

@@ -173,12 +173,12 @@ def _positional_features(index: InvertedIndex, ctx: _QueryContext, match_pos: np
     for t_i, (term, ks) in enumerate(zip(ctx.terms, match_pos)):
         slots = np.flatnonzero(ks >= 0)
         if slots.shape[0]:
-            bounds = index.run_bounds[term]
-            starts, lens = bounds[ks[slots]], bounds[ks[slots] + 1] - bounds[ks[slots]]
+            k = index.offsets[index.term_index[term]] + ks[slots]
+            starts = index.run_starts[k]
+            lens = index.run_starts[k + 1] - starts
             offsets = np.cumsum(lens) - lens
             idx = np.repeat(starts - offsets, lens) + np.arange(lens.sum())
-            runs[t_i] = (np.repeat(slots * stride, lens) + index.postings[term][2][idx],
-                         slots, offsets)
+            runs[t_i] = (np.repeat(slots * stride, lens) + index.positions[idx], slots, offsets)
     for ia, ib in ((ctx.terms.index(a), ctx.terms.index(b)) for a, b in ctx.bigrams):
         if ia in runs and ib in runs:
             ka, kb = runs[ia][0] + 1, runs[ib][0]

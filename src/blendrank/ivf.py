@@ -65,10 +65,6 @@ class Ranking:
     def __len__(self) -> int:
         return self.ids.shape[0]
 
-    @property
-    def entries(self) -> list[tuple[int, float, int]]:
-        return [(int(i), float(s), r + 1) for r, (i, s) in enumerate(zip(self.ids, self.scores))]
-
 
 BLOCK_ROWS = 2048
 
@@ -271,20 +267,6 @@ def search(index: IvfIndex, q: np.ndarray, k: int, nprobe: int) -> Ranking:
                   if index.metric == "cosine" else None)
     scores = _metric_scores(q, cand_vecs, cand_norms, index.metric)
     return _top_k(cand_ids, scores, k)
-
-
-def exhaustive_search(vectors: EmbeddingMatrix, q: np.ndarray, k: int,
-                      metric: str = "dot") -> Ranking:
-    """Exact top-k over the whole collection, same tie rule as search()."""
-    if metric not in METRICS:
-        raise ValueError(f"metric must be one of {METRICS}")
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape[0] != vectors.dim:
-        raise ValueError(f"dimension mismatch: query {q.shape[0]}, matrix {vectors.dim}")
-    if not np.isfinite(q).all():
-        raise ValueError("query vector has a non-finite entry")
-    scores = _metric_scores(q, vectors.rows, vectors.norms, metric)
-    return _top_k(np.arange(vectors.n_rows, dtype=np.int64), scores, k)
 
 
 def save_ivf(index: IvfIndex, path) -> None:

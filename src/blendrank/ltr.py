@@ -247,12 +247,6 @@ class RegressionTree:
     def n_leaves(self) -> int:
         return int(np.sum(self.feature < 0))
 
-    def predict_one(self, x) -> float:
-        i = 0
-        while self.feature[i] >= 0:
-            i = self.left[i] if x[self.feature[i]] <= self.threshold[i] else self.right[i]
-        return float(self.value[i])
-
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         node = np.zeros(X.shape[0], dtype=np.int64)
         while True:
@@ -495,12 +489,6 @@ class Ensemble:
     @property
     def n_trees(self) -> int:
         return len(self.trees)
-
-    def score_one(self, x) -> float:
-        s = 0.0
-        for t in self.trees:
-            s += self.learning_rate * t.predict_one(x)
-        return s
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
         scores = np.zeros(X.shape[0], dtype=np.float64)

@@ -14,8 +14,8 @@ from blendrank.features import (BM25_B, BM25_K1, LEXICAL_COUNT, LM_MU, PAIR_WIND
 
 def posting_run(index: InvertedIndex, term: str, k: int) -> np.ndarray:
     """The sorted positions of the term's k-th posting."""
-    bounds = index.run_bounds[term]
-    return index.postings[term][2][bounds[k]:bounds[k + 1]]
+    k += index.offsets[index.term_index[term]]
+    return index.positions[index.run_starts[k]:index.run_starts[k + 1]]
 
 
 def positions(index: InvertedIndex, term: str, internal_id: int) -> np.ndarray:

@@ -65,6 +65,14 @@ class TestStorage:
         m = EmbeddingMatrix(np.array([[3.0, 4.0], [0.0, 0.0]], dtype=np.float32))
         np.testing.assert_allclose(m.norms, [5.0, 0.0], atol=1e-9)
 
+    def test_norms_computed_at_first_read(self, tmp_path):
+        rows = np.random.default_rng(3).normal(size=(6, 4)).astype(np.float32)
+        save_embeddings(EmbeddingMatrix(rows), tmp_path / "e.crem")
+        m = load_embeddings(tmp_path / "e.crem")
+        assert "norms" not in vars(m)
+        want = np.linalg.norm(rows.astype(np.float64), axis=1)
+        assert m.norms.tobytes() == want.tobytes() and m.norms is m.norms
+
 
 class TestToyEncode:
     def test_deterministic(self):

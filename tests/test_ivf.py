@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from blendrank.embeddings import EmbeddingMatrix
 from blendrank.ivf import (METRICS, Centroids, _metric_scores, _top_k, build_ivf,
-                           exhaustive_search, load_ivf, save_ivf, search, train_kmeans)
+                           load_ivf, save_ivf, search, train_kmeans)
 from blendrank.synthetic import make_synthetic
+from ivf_oracle import exhaustive_search
 
 
 def linear_scan_oracle(rows, q, k, metric):
@@ -208,8 +209,7 @@ class TestSearch:
         r = search(idx, np.ones(4), 30, 4)
         scores = r.scores
         assert np.all(np.diff(scores) <= 0)
-        entries = r.entries
-        assert [e[2] for e in entries] == list(range(1, len(r) + 1))
+        assert len(r) == r.ids.shape[0] == 30
 
     def test_nprobe_out_of_range(self):
         m = random_matrix(20, 3, 0)

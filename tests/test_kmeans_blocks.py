@@ -14,7 +14,8 @@ import pytest
 import kmeans_oracle
 from blendrank.embeddings import EmbeddingMatrix
 from blendrank.ivf import (BLOCK_ROWS, METRICS, _nearest, _row_blocks, build_ivf,
-                           exhaustive_search, save_ivf, search, train_kmeans)
+                           save_ivf, search, train_kmeans)
+from ivf_oracle import exhaustive_search
 
 B = BLOCK_ROWS
 

@@ -20,6 +20,7 @@ from blendrank.ltr import (MAX_BINS, Ensemble, LtrDataset, LtrGroup, RegressionT
                            ndcg_from_scores, random_search_tune, save_model,
                            train, write_train_log, EPS, LEAF_CLAMP)
 from blendrank.metrics import ideal_dcg, ndcg_at_k
+from forest_oracle import predict_one, score_one
 
 
 # ----------------------------------------------------------------------------
@@ -300,7 +301,7 @@ class TestFitTree:
         tree = fit_tree(X, lam, hes, leaf_params(num_leaves=10))
         Xq = rng.normal(size=(80, 4))
         batch = tree.predict_batch(Xq)
-        ones = np.array([tree.predict_one(x) for x in Xq])
+        ones = np.array([predict_one(tree, x) for x in Xq])
         np.testing.assert_array_equal(batch, ones)
 
 
@@ -622,7 +623,7 @@ class TestTrain:
         ens = train(synthetic_dataset(0), synthetic_dataset(1),
                     train_params(max_trees=0))
         assert ens.n_trees == 0
-        assert ens.score_one(np.zeros(5)) == 0.0
+        assert score_one(ens, np.zeros(5)) == 0.0
         assert np.all(ens.score_batch(np.zeros((3, 5))) == 0.0)
 
     def test_learns_signal(self):
@@ -701,6 +702,16 @@ class TestTrain:
         X = np.random.default_rng(2).random((20, 5))
         np.testing.assert_array_equal(ens.score_batch(X), loaded.score_batch(X))
         assert loaded.metadata["best_iteration"] == ens.metadata["best_iteration"]
+
+    def test_save_load_save_gives_the_same_bytes(self, tmp_path):
+        ens = train(synthetic_dataset(13), synthetic_dataset(14), train_params())
+        masked = Ensemble(ens.trees, 0.1 + 0.2, 5, "lexical", "a1b2c3",
+                          np.array([0, 2, 3], dtype=np.int64),
+                          {**ens.metadata, "note": "déjà", "tiny": 5e-324})
+        for model in (ens, masked):
+            save_model(model, tmp_path / "a.json")
+            save_model(load_model(tmp_path / "a.json"), tmp_path / "b.json")
+            assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     @pytest.mark.parametrize("tree", [
         # node 1 points back to node 0: a cycle

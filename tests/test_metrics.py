@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blendrank.corpus import Qrels
 from blendrank.metrics import (DiffBuckets, MetricReport, RunList, bonferroni,
@@ -225,6 +227,20 @@ class TestRunFiles:
         path = tmp_path / "run.txt"
         write_run(run, path)
         assert load_run(path) == run
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(ranked=st.dictionaries(
+        st.text("qQ0123456789_-", min_size=1, max_size=6),
+        st.lists(st.tuples(st.text("dD0123456789.:", min_size=1, max_size=8),
+                           st.floats(allow_nan=False)), max_size=6)))
+    def test_save_load_save_gives_the_same_bytes(self, tmp_path_factory, ranked):
+        run = RunList("blendrank.np8.c100.full")
+        for qid, entries in ranked.items():
+            run.add(qid, sorted(entries, key=lambda e: -e[1]))
+        tmp = tmp_path_factory.mktemp("run")
+        write_run(run, tmp / "a.txt")
+        write_run(load_run(tmp / "a.txt"), tmp / "b.txt")
+        assert (tmp / "a.txt").read_bytes() == (tmp / "b.txt").read_bytes()
 
     def test_rank_gap_rejected(self, tmp_path):
         path = tmp_path / "run.txt"

@@ -5,14 +5,16 @@ import pytest
 
 from blendrank.cli import main as cli_main
 from blendrank.corpus import build_inverted_index, load_qrels
-from blendrank.embeddings import toy_encode
-from blendrank.ivf import build_ivf, default_nlist, exhaustive_search, train_kmeans
+from blendrank.embeddings import EmbeddingMatrix, toy_encode
+from blendrank.features import DEFAULT_LEXICAL_NAMES
+from blendrank.ivf import build_ivf, default_nlist, search, train_kmeans
 from blendrank.ltr import TrainParams
 from blendrank.metrics import evaluate_run, load_run
 from blendrank.pipeline import (LatencyBreakdown, Pipeline, PipelineConfig,
-                                first_stage_rankings, sweep, sweep_to_csv,
-                                train_pipeline)
+                                first_stage_rankings, sweep, sweep_to_csv)
 from blendrank.synthetic import make_synthetic
+from ivf_oracle import exhaustive_search
+from pipeline_training import train_pipeline
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +92,68 @@ def test_bm25_vs_cosine_top10_disagreement():
         if top_bm25 != top_cos:
             disagree += 1
     assert disagree / len(data.queries.query_ids) > 0.10
+
+
+class TestEdgeQueries:
+    """Edge inputs sent through run_query, each checked against the cascade
+    rebuilt from its parts with the per-tree scorer."""
+
+    @staticmethod
+    def expected(pipe, qid, text):
+        cfg = pipe.config
+        q = pipe.encode_query(qid, text)
+        first = search(pipe.ivf_index, q, cfg.k_first, cfg.nprobe).ids
+        head = first[:cfg.rerank_cutoff]
+        feats = pipe.extractor.feature_matrix(pipe.extractor.tokenize_query(text), q, head)
+        scores = pipe.model.score_batch(feats[:, pipe.mask.included])
+        ids = np.concatenate([head[np.lexsort((head, -scores))], first[len(head):]])
+        ids = ids[:cfg.k_final]
+        return ([(pipe.corpus.doc_ids[i], float(len(ids) - r)) for r, i in enumerate(ids)],
+                first, feats)
+
+    def check(self, pipe, qid, text, count):
+        entries, _ = pipe.run_query(qid, text)
+        want, first, feats = self.expected(pipe, qid, text)
+        assert len(entries) == count and entries == want
+        return first, feats
+
+    def test_empty_text_ranks_by_id_then_model(self, trained):
+        first, _ = self.check(trained, "new-empty", "", 200)
+        # The toy encoder gives the zero vector: every candidate ties at 0.
+        assert first.tolist() == list(range(200))
+
+    def test_all_oov_text_matches_no_term(self, trained):
+        _, feats = self.check(trained, "new-oov", "qqqzz xxyyq", 200)
+        lex = 3 * trained.extractor.registry.dim + 2
+        assert not feats[:, lex + DEFAULT_LEXICAL_NAMES.index("lex_matched")].any()
+
+    def test_repeated_terms(self, world, trained):
+        data, _ = world
+        term = data.queries.texts[0].split()[0]
+        assert term in trained.inverted_index.postings
+        _, feats = self.check(trained, "new-repeat", f"{term} {term} {term}", 200)
+        lex = 3 * trained.extractor.registry.dim + 2
+        assert (feats[:, lex + DEFAULT_LEXICAL_NAMES.index("lex_query_len")] == 3.0).all()
+
+    @pytest.mark.parametrize("metric", ["dot", "cosine"])
+    def test_stored_zero_vector(self, world, trained, metric):
+        data, _ = world
+        rows = data.doc_embeddings.rows.copy()
+        rows[3] = 0.0  # a zero document vector as well
+        docs = EmbeddingMatrix(rows)
+        ivf = build_ivf(docs, train_kmeans(docs, trained.ivf_index.nlist, 10, 5), metric)
+        pipe = Pipeline(trained.config, data.corpus, trained.inverted_index, docs, ivf,
+                        {"zero": np.zeros(16)}, trained.model)
+        first, _ = self.check(pipe, "zero", data.queries.texts[0], 200)
+        assert first.tolist() == list(range(200))
+
+    def test_fewer_candidates_than_k(self, world, trained):
+        data, _ = world
+        qid, text = _query(data, 45)
+        pipe = trained.with_overrides(nprobe=1)
+        n = len(search(pipe.ivf_index, pipe.encode_query(qid, text), 200, 1))
+        assert 0 < n < 200
+        self.check(pipe, qid, text, n)
 
 
 class TestConfig:
@@ -282,7 +346,7 @@ class TestTrainPipeline:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_variants_share_negative_sampling(self, world):
-        from blendrank.pipeline import train_variants
+        from pipeline_training import train_variants
         data, pipe = world
         tr = data.queries.subset(range(20))
         va = data.queries.subset(range(20, 28))
