@@ -122,10 +122,8 @@ def _load_pipeline(args):
     queries = corpus_io.load_queries(qfile) if qfile else None
     qvecs = {} if queries is None else _query_vectors(
         queries, getattr(args, "query_embeddings", None) or cfg.query_embeddings)
-    model = None
     mpath = getattr(args, "model", None) or cfg.model
-    if mpath:
-        model = load_model(mpath)
+    model = load_model(mpath) if mpath else None
     return Pipeline(cfg, coll, inv, emb, ivf_index, qvecs, model), queries
 
 

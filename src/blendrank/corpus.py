@@ -127,12 +127,12 @@ class Qrels:
         return len(self.judgments)
 
 
-def _read_tsv(path, id_name: str, empty: str) -> tuple[list[str], list[str]]:
-    """(ids, texts) of an "id<TAB>text" file; blank lines are skipped, and a
-    line without a tab, a repeated id or a file with no rows is an error."""
+def _read_tsv(path, id_name: str, empty: str) -> tuple[list[str], list[str], dict[str, int]]:
+    """(ids, texts, id -> row) of an "id<TAB>text" file; blank lines are skipped,
+    and a line without a tab, a repeated id or a file with no rows is an error."""
     ids: list[str] = []
     texts: list[str] = []
-    seen: set[str] = set()
+    seen: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -143,12 +143,12 @@ def _read_tsv(path, id_name: str, empty: str) -> tuple[list[str], list[str]]:
             row_id, text = line.split("\t", 1)
             if row_id in seen:
                 raise ValueError(f"{path}: duplicate {id_name} {row_id!r} at line {lineno}")
-            seen.add(row_id)
+            seen[row_id] = len(ids)
             ids.append(row_id)
             texts.append(text)
     if not ids:
         raise ValueError(f"{path}: empty {empty}")
-    return ids, texts
+    return ids, texts, seen
 
 
 def load_collection(path) -> Corpus:
@@ -158,7 +158,7 @@ def load_collection(path) -> Corpus:
 
 def load_queries(path) -> QuerySet:
     """Read a TSV query file: one "query_id<TAB>text" line per query."""
-    return QuerySet(*_read_tsv(path, "query_id", "query file"))
+    return QuerySet(*_read_tsv(path, "query_id", "query file")[:2])
 
 
 def load_qrels(path) -> Qrels:
@@ -209,14 +209,15 @@ class InvertedIndex:
     positions)), df and cf are read-only mappings over these arrays."""
 
     def __init__(self, terms: list[str], df, ids: np.ndarray, tfs: np.ndarray,
-                 positions: np.ndarray, doc_len: np.ndarray, stemmed: bool = False):
+                 positions: np.ndarray, doc_len: np.ndarray, stemmed: bool = False,
+                 starts: np.ndarray | None = None):
         self.terms = terms
         self.term_index = {t: i for i, t in enumerate(terms)}
         self.offsets = o = np.concatenate(([0], np.cumsum(df, dtype=np.int64)))
         self.ids = ids = np.asarray(ids, dtype=np.int64)
         self.tfs = tfs = np.asarray(tfs, dtype=np.int64)
         self.positions = positions = np.asarray(positions, dtype=np.int32)
-        self.run_starts = r = np.concatenate(([0], np.cumsum(tfs)))
+        self.run_starts = r = np.concatenate(([0], np.cumsum(tfs))) if starts is None else starts
         self.doc_len = np.asarray(doc_len, dtype=np.int64)
         self.stemmed = stemmed
         self.n_docs = int(self.doc_len.shape[0])
@@ -294,12 +295,13 @@ def _first(bad: np.ndarray, starts: np.ndarray) -> int:
 
 
 def _check_postings(r: SectionReader, terms: list[str], df: list[int], ids: np.ndarray,
-                    tfs: np.ndarray, pos: np.ndarray, n_tfs: int, n_pos: int,
-                    doc_len: np.ndarray) -> None:
+                    tfs: np.ndarray, starts: np.ndarray, pos: np.ndarray, n_tfs: int,
+                    n_pos: int, doc_len: np.ndarray) -> None:
     """Raise the error that checking each term's ids, tfs and positions in turn
     would meet first. ids, tfs and pos hold the first len(df), n_tfs and n_pos
-    terms' arrays. Each check looks only at the terms before the first fault
-    found so far, where ids index doc_len and tfs mark out the runs."""
+    terms' arrays; starts is 0 and then cumsum(tfs). Each check looks only at
+    the terms before the first fault found so far, where ids index doc_len and
+    tfs mark out the runs."""
     n, offsets = doc_len.shape[0], np.concatenate(([0], np.cumsum(df, dtype=np.int64)))
     limit = min(_first((ids < 0) | (ids >= n) | _falls(ids, offsets[:-1]), offsets),
                 df.index(0) if 0 in df else len(df))
@@ -310,12 +312,13 @@ def _check_postings(r: SectionReader, terms: list[str], df: list[int], ids: np.n
     if t < upper:
         fault, limit = ("tfs", "must lie in 1..doc_len"), t
     upper = min(limit, n_pos)
-    runs = np.concatenate(([0], np.cumsum(tfs[:offsets[upper]])))
+    runs = starts[:offsets[upper] + 1]
     p = pos[:runs[-1]]
     t = _first(_falls(p, runs[:-1]), runs[offsets[:upper + 1]])
     bad = p[runs[:-1]] < 0  # the runs rise, so their first and last positions bound them
-    runs[1:] -= 1
+    runs[1:] -= 1  # in place, and undone below: the index keeps these starts
     t = min(t, _first(bad | (p[runs[1:]] >= lens[:bad.shape[0]]), offsets))
+    runs[1:] += 1
     if t < upper:
         fault, limit = ("positions", "must strictly increase within each posting and "
                                      "lie in 0..doc_len-1"), t
@@ -361,10 +364,12 @@ def load_inverted_index(path) -> InvertedIndex:
     ids, tfs, pos = (np.concatenate([np.empty(0, dtype), *v])
                      for v, dtype in zip(views, ("<i8", "<i8", "<i4")))
     del views, r.data  # free the file's bytes before the checks
-    _check_postings(r, terms, df, ids, tfs, pos, n_tfs, n_pos, doc_len)
+    starts = np.concatenate(([0], np.cumsum(tfs)))  # the runs' starts, also kept by the index
+    _check_postings(r, terms, df, ids, tfs, starts, pos, n_tfs, n_pos, doc_len)
     if walk_error is not None:
         raise walk_error
     # Exact in float64: the tfs are positive, so a sum past 2**53 exceeds any doc_len.
     if not np.array_equal(np.bincount(ids, tfs, n_docs), doc_len):
         raise r.fail("doc_len", "does not equal each document's position total")
-    return InvertedIndex(terms, df, ids, tfs, pos, doc_len, stemmed=bool(stemmed))
+    return InvertedIndex(terms, df, ids, tfs, pos, doc_len, stemmed=bool(stemmed),
+                         starts=starts)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .corpus import InvertedIndex, tokenize
 from .embeddings import EmbeddingMatrix
+from .ivf import rank_order
 
 BM25_K1 = 0.9
 BM25_B = 0.4
@@ -321,7 +322,7 @@ class FeatureExtractor:
         if qn > 0:
             nz = norms > 0
             cos[nz] = (rows[nz] @ q) / (norms[nz] * qn)
-        order = np.lexsort((doc_ids, -cos))
+        order = rank_order(-cos, doc_ids)
         ranks = np.empty(len(doc_ids), dtype=np.int64)
         ranks[order] = np.arange(1, len(doc_ids) + 1)
         return cos, ranks

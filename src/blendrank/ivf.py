@@ -8,9 +8,11 @@ oracle the tests lean on.
 
 The top K is selected before it is sorted: `np.partition` finds the K-th
 score, every candidate scoring at least that much (ties included) is kept,
-and only those are sorted under the tie rule. The same selection orders the
-centroids to probe. The probed lists' vectors are gathered into one matrix
-and scored with a single product; scoring list by list changes score bits.
+and only those are sorted by `rank_order`: an argsort, kept when its keys
+strictly rise (no tie, no NaN), else an exact lexsort. The same selection
+orders the centroids to probe. The probed lists are gathered straight into
+one float64 matrix (an exact cast from float32) and scored with a single
+product; scoring list by list changes score bits.
 
 k-means and list assignment take distances one block of rows at a time, with
 the whole-matrix arithmetic. Blocks are near-equal in size: a product over a
@@ -123,7 +125,8 @@ def train_kmeans(vectors: EmbeddingMatrix, nlist: int, max_iters: int = 25,
     Empty clusters are reseeded to the point currently farthest from its
     centroid. Stops after max_iters or when the assignment is stable.
     Distances are taken one row block at a time; a centroid is the mean of
-    its members, summed in ascending point order.
+    its members, summed in ascending point order from the first member on
+    (-0.0 stays -0.0), gathered a block of whole clusters at a time.
     """
     points = vectors.rows.astype(np.float64)
     n = points.shape[0]
@@ -149,9 +152,13 @@ def train_kmeans(vectors: EmbeddingMatrix, nlist: int, max_iters: int = 25,
             break
         assign = new_assign
         order = np.argsort(assign, kind="stable")
-        full = counts > 0
-        starts = (np.cumsum(counts) - counts)[full]
-        centers[full] = np.add.reduceat(points[order], starts, axis=0) / counts[full, None]
+        full = np.flatnonzero(counts)
+        starts = np.append(np.cumsum(counts)[full] - counts[full], n)
+        edges = np.unique(np.searchsorted(starts, np.append(np.arange(0, n, BLOCK_ROWS), n)))
+        for i, j in zip(edges.tolist(), edges[1:].tolist()):
+            members = points[order[starts[i]:starts[j]]]
+            centers[full[i:j]] = (np.add.reduceat(members, starts[i:j] - starts[i], axis=0)
+                                  / counts[full[i:j], None])
     return Centroids(centers)
 
 
@@ -232,6 +239,15 @@ def _metric_scores(q: np.ndarray, matrix: np.ndarray, norms: np.ndarray | None,
     return scores.astype(np.float64, copy=False)
 
 
+def rank_order(neg: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """np.lexsort((ids, neg)): ascending neg, ties by ascending id, NaN last.
+    A plain argsort is kept when its sorted keys strictly rise, since then
+    no tie or NaN leaves the order open."""
+    order = np.argsort(neg)
+    s = neg.take(order)
+    return order if (s[1:] > s[:-1]).all() else np.lexsort((ids, neg))
+
+
 def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> Ranking:
     """The k best by (score desc, id asc), NaN last, as a full lexsort would
     give them. Everything not below the k-th score is kept, so ties at the cut
@@ -239,10 +255,10 @@ def _top_k(ids: np.ndarray, scores: np.ndarray, k: int) -> Ranking:
     neg = -scores
     if neg.shape[0] > k:
         kth = np.partition(neg, k - 1)[k - 1]
-        keep = ~(neg > kth)
-        ids, neg, scores = ids[keep], neg[keep], scores[keep]
-    order = np.lexsort((ids, neg))[:k]
-    return Ranking(ids[order], scores[order])
+        keep = np.flatnonzero(~(neg > kth))
+        ids, neg = ids.take(keep), neg.take(keep)
+    order = rank_order(neg, ids)[:k]
+    return Ranking(ids.take(order), -neg.take(order))
 
 
 def search(index: IvfIndex, q: np.ndarray, k: int, nprobe: int) -> Ranking:
@@ -258,12 +274,13 @@ def search(index: IvfIndex, q: np.ndarray, k: int, nprobe: int) -> Ranking:
         raise ValueError("query vector has a non-finite entry")
     cent_scores = _metric_scores(q, index.centroids.vectors, index.centroid_norms, index.metric)
     probe = _top_k(np.arange(index.nlist), cent_scores, nprobe).ids
-    spans = [(int(index.offsets[c]), int(index.offsets[c + 1])) for c in probe]
-    cand_ids = np.concatenate([index.ids[a:b] for a, b in spans])
+    lo, hi = index.offsets.take(probe).tolist(), index.offsets.take(probe + 1).tolist()
+    spans = list(map(slice, lo, hi))
+    cand_ids = np.concatenate([index.ids[s] for s in spans])
     if cand_ids.shape[0] == 0:
         return Ranking(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    cand_vecs = np.concatenate([index.vectors[a:b] for a, b in spans])
-    cand_norms = (np.concatenate([index.norms[a:b] for a, b in spans])
+    cand_vecs = np.concatenate([index.vectors[s] for s in spans], dtype=np.float64)
+    cand_norms = (np.concatenate([index.norms[s] for s in spans])
                   if index.metric == "cosine" else None)
     scores = _metric_scores(q, cand_vecs, cand_norms, index.metric)
     return _top_k(cand_ids, scores, k)

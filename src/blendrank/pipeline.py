@@ -7,20 +7,22 @@ documents: the top `rerank_cutoff` block is reordered by model score and
 the tail keeps first-stage order, which makes recall at the candidate
 depth invariant by construction. Run entries carry rank-derived scores
 (descending integers) so emitted run files are monotone and reload
-byte-stably.
+byte-stably. A query's entries are its ids taken in one call from an object
+array of the corpus's doc ids, zipped with rank scores built once per length.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import Corpus, InvertedIndex, Qrels, QuerySet
 from .embeddings import EmbeddingMatrix, toy_encode
 from .features import FeatureExtractor, FeatureRegistry, make_mask
-from .ivf import IvfIndex, Ranking, search
+from .ivf import IvfIndex, Ranking, rank_order, search
 from .ltr import (Ensemble, LtrDataset, TrainParams,
                   build_training_set, random_search_tune, train)
 from .metrics import RunList, evaluate_run
@@ -74,36 +76,30 @@ class PipelineConfig:
         return cls(**values)
 
 
-@dataclass
+STAGES = ("encode", "first_stage", "feature_extraction", "rerank", "total")
+
+
 class LatencyBreakdown:
-    """Per-query stage timings in milliseconds."""
+    """Per-query stage timings in milliseconds, one list per stage."""
 
-    encode: list[float] = field(default_factory=list)
-    first_stage: list[float] = field(default_factory=list)
-    feature_extraction: list[float] = field(default_factory=list)
-    rerank: list[float] = field(default_factory=list)
-    total: list[float] = field(default_factory=list)
+    def __init__(self):
+        self.times: dict[str, list[float]] = {stage: [] for stage in STAGES}
 
-    def record(self, encode, first_stage, features, rerank, total) -> None:
-        self.encode.append(encode)
-        self.first_stage.append(first_stage)
-        self.feature_extraction.append(features)
-        self.rerank.append(rerank)
-        self.total.append(total)
+    def record(self, *stage_ms: float) -> None:
+        for times, ms in zip(self.times.values(), stage_ms, strict=True):
+            times.append(ms)
 
     def aggregate(self) -> dict[str, dict[str, float]]:
-        out = {}
-        for stage in ("encode", "first_stage", "feature_extraction", "rerank", "total"):
-            vals = np.asarray(getattr(self, stage), dtype=np.float64)
-            if vals.size == 0:
-                out[stage] = {"mean": 0.0, "p50": 0.0, "p95": 0.0}
-            else:
-                out[stage] = {
-                    "mean": float(vals.mean()),
-                    "p50": float(np.percentile(vals, 50)),
-                    "p95": float(np.percentile(vals, 95)),
-                }
-        return out
+        return {stage: {"mean": float(np.mean(v)), "p50": float(np.percentile(v, 50)),
+                        "p95": float(np.percentile(v, 95))}
+                if v else {"mean": 0.0, "p50": 0.0, "p95": 0.0}
+                for stage, v in self.times.items()}
+
+
+@functools.lru_cache(maxsize=64)
+def _rank_scores(n: int) -> tuple[float, ...]:
+    """The run scores n, n - 1, ..., 1 as floats; a tuple, since it is shared."""
+    return tuple(np.arange(n, 0, -1, dtype=np.float64).tolist())
 
 
 class Pipeline:
@@ -119,6 +115,7 @@ class Pipeline:
         self.doc_embeddings = doc_embeddings
         self.ivf_index = ivf_index
         self.query_vectors = query_vectors or {}
+        self.doc_id_array = np.array(corpus.doc_ids, dtype=object)
         self.extractor = FeatureExtractor(inverted_index, doc_embeddings)
         self.model = model
         self.compiled: CompiledEnsemble | None = None
@@ -163,20 +160,17 @@ class Pipeline:
         t2 = time.perf_counter()
         cut = min(cfg.rerank_cutoff, len(ranking)) if self.compiled is not None else 0
         if cut > 0:
-            tokens = self.extractor.tokenize_query(text)
-            feats = self.extractor.feature_matrix(tokens, q_vec, ranking.ids[:cut])
+            head = ranking.ids[:cut]
+            feats = self.extractor.feature_matrix(self.extractor.tokenize_query(text), q_vec, head)
             t3 = time.perf_counter()
             scores = score_batch(self.compiled, feats[:, self.mask.included])
-            order = np.lexsort((ranking.ids[:cut], -scores))
-            merged = np.concatenate([ranking.ids[:cut][order], ranking.ids[cut:]])
+            merged = np.concatenate([head.take(rank_order(-scores, head)), ranking.ids[cut:]])
             t4 = time.perf_counter()
         else:
             t3 = t4 = time.perf_counter()
             merged = ranking.ids
         final = merged[:cfg.k_final]
-        n = final.shape[0]
-        entries = list(zip(map(self.corpus.doc_ids.__getitem__, final.tolist()),
-                           np.arange(n, 0, -1, dtype=np.float64).tolist()))
+        entries = list(zip(self.doc_id_array.take(final).tolist(), _rank_scores(final.shape[0])))
         t5 = time.perf_counter()
         lat = ((t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3,
                (t4 - t3) * 1e3, (t5 - t0) * 1e3)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from blendrank.embeddings import EmbeddingMatrix
 from blendrank.ivf import (METRICS, Centroids, _metric_scores, _top_k, build_ivf,
-                           load_ivf, save_ivf, search, train_kmeans)
+                           load_ivf, rank_order, save_ivf, search, train_kmeans)
 from blendrank.synthetic import make_synthetic
 from ivf_oracle import exhaustive_search
 
@@ -48,6 +48,14 @@ def kmeans_objective(points, centers):
 
 
 class TestKmeans:
+    def test_negative_zero_column_keeps_its_sign(self):
+        # A centroid is its members' sum from the first member on, divided by
+        # their count; a sum started from +0.0 would flip -0.0 to +0.0.
+        rows = np.array([[-0.0, 1], [-0.0, 2], [-0.0, 4], [50, 0], [51, 0]], dtype=np.float32)
+        cents = train_kmeans(EmbeddingMatrix(rows), 2, 5, 0).vectors
+        small = cents[np.argmin(cents[:, 0])]
+        assert small[1] == 7 / 3 and np.signbit(small[0])
+
     def test_nlist_equals_n_gives_zero_objective(self):
         m = random_matrix(12, 4, 0)
         cents = train_kmeans(m, 12, max_iters=20, seed=1)
@@ -300,6 +308,57 @@ class TestTopKSelection:
                     want_ids, want_scores = lexsort_top_k(idx.ids[rows], scores, k)
                     assert got.ids.tobytes() == want_ids.tobytes(), (nprobe, k)
                     assert got.scores.tobytes() == want_scores.tobytes(), (nprobe, k)
+
+
+class TestRankOrder:
+    """rank_order equals np.lexsort((ids, neg)); the plain argsort is kept only
+    when no tie or NaN leaves its order open."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), unique=True, max_size=200), st.data())
+    def test_distinct_keys_take_the_argsort(self, values, data):
+        neg = np.array(values, dtype=np.float64)
+        ids = np.array(data.draw(st.permutations(range(len(values)))), dtype=np.int64)
+        want = np.lexsort((ids, neg))
+
+        def no_lexsort(*args, **kwargs):
+            raise AssertionError("distinct keys fell back to lexsort")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "lexsort", no_lexsort)
+            got = rank_order(neg, ids)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=60),
+           st.lists(st.tuples(st.integers(0, 10 ** 6),
+                              st.sampled_from(["copy", np.nan, 0.0, -0.0, np.inf, -np.inf])),
+                    min_size=1, max_size=20),
+           st.data())
+    def test_ties_and_nan_take_the_exact_fallback(self, values, injections, data):
+        values = list(values)
+        for at, what in injections:
+            src = values[at % len(values)]
+            values.insert(at % (len(values) + 1), src if what == "copy" else what)
+        neg = np.array(values, dtype=np.float64)
+        ids = np.array(data.draw(st.permutations(range(len(values)))), dtype=np.int64)
+        want, lexsort = np.lexsort((ids, neg)), np.lexsort
+        calls = []
+
+        def counted_lexsort(*args, **kwargs):
+            calls.append(1)
+            return lexsort(*args, **kwargs)
+
+        open_order = len(np.unique(neg)) < len(neg) or np.isnan(neg).any()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "lexsort", counted_lexsort)
+            got = rank_order(neg, ids)
+        assert got.tobytes() == want.tobytes()
+        assert len(calls) == int(open_order)
+
+    def test_signed_zeros_tie(self):
+        neg, ids = np.array([0.0, -0.0, 0.0, -0.0]), np.array([3, 2, 1, 0])
+        np.testing.assert_array_equal(rank_order(neg, ids), [3, 2, 1, 0])
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,12 @@ from blendrank.cli import main as cli_main
 from blendrank.corpus import build_inverted_index, load_qrels
 from blendrank.embeddings import EmbeddingMatrix, toy_encode
 from blendrank.features import DEFAULT_LEXICAL_NAMES
-from blendrank.ivf import build_ivf, default_nlist, search, train_kmeans
+from blendrank.ivf import Centroids, build_ivf, default_nlist, search, train_kmeans
 from blendrank.ltr import TrainParams
 from blendrank.metrics import evaluate_run, load_run
 from blendrank.pipeline import (LatencyBreakdown, Pipeline, PipelineConfig,
                                 first_stage_rankings, sweep, sweep_to_csv)
+from blendrank.scorer import score_batch
 from blendrank.synthetic import make_synthetic
 from ivf_oracle import exhaustive_search
 from pipeline_training import train_pipeline
@@ -154,6 +155,66 @@ class TestEdgeQueries:
         n = len(search(pipe.ivf_index, pipe.encode_query(qid, text), 200, 1))
         assert 0 < n < 200
         self.check(pipe, qid, text, n)
+
+
+class TestRunEntries:
+    """run_query's entries equal the per-query formula
+    list(zip(map(doc_ids.__getitem__, ids), arange(n, 0, -1).tolist())) over
+    the cascade's final ids, whatever their count."""
+
+    @staticmethod
+    def final_ids(pipe, qid, text):
+        cfg = pipe.config
+        q = pipe.encode_query(qid, text)
+        ids = search(pipe.ivf_index, q, cfg.k_first, cfg.nprobe).ids
+        cut = min(cfg.rerank_cutoff, len(ids)) if pipe.compiled is not None else 0
+        if cut:
+            head = ids[:cut]
+            feats = pipe.extractor.feature_matrix(pipe.extractor.tokenize_query(text), q, head)
+            scores = score_batch(pipe.compiled, feats[:, pipe.mask.included])
+            ids = np.concatenate([head[np.lexsort((head, -scores))], ids[cut:]])
+        return ids[:cfg.k_final]
+
+    def check(self, pipe, qid, text):
+        ids = self.final_ids(pipe, qid, text)
+        n = len(ids)
+        want = list(zip(map(pipe.corpus.doc_ids.__getitem__, ids.tolist()),
+                        np.arange(n, 0, -1, dtype=np.float64).tolist()))
+        entries, _ = pipe.run_query(qid, text)
+        assert entries == want
+        assert all(type(d) is str and type(s) is float for d, s in entries)
+        return n
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"k_final": 37}, {"rerank_cutoff": 60}, {"rerank_cutoff": 60, "k_final": 37},
+        {"rerank_cutoff": 60, "k_final": 150}, {"rerank_cutoff": 0, "k_final": 1},
+    ])
+    @pytest.mark.parametrize("reranked", [False, True], ids=["firststage", "reranked"])
+    def test_equal_to_formula(self, world, trained, reranked, overrides):
+        data, pipe = world
+        pipe = (trained if reranked else pipe).with_overrides(**overrides)
+        for i in range(0, 60, 7):
+            assert self.check(pipe, *_query(data, i)) == pipe.config.k_final
+
+    @pytest.mark.parametrize("reranked", [False, True], ids=["firststage", "reranked"])
+    def test_fewer_candidates_than_k(self, world, trained, reranked):
+        data, pipe = world
+        pipe = (trained if reranked else pipe).with_overrides(nprobe=1, k_final=150)
+        counts = {self.check(pipe, *_query(data, i)) for i in range(40, 60)}
+        assert min(counts) < 150
+
+    def test_zero_candidates(self, world, trained):
+        data, pipe = world
+        far = np.zeros((1, 16))
+        far[0, 0] = 1e6  # no document is nearest to it: an empty list
+        cents = Centroids(np.vstack([pipe.ivf_index.centroids.vectors, far]))
+        ivf = build_ivf(data.doc_embeddings, cents, "dot")
+        assert ivf.offsets[-1] == ivf.offsets[-2]
+        for model in (None, trained.model):
+            p = Pipeline(PipelineConfig(k_first=200, rerank_cutoff=200, nprobe=1, k_final=200),
+                         data.corpus, pipe.inverted_index, data.doc_embeddings, ivf,
+                         {"far": far[0] / 1e6}, model)
+            assert self.check(p, "far", "any text") == 0
 
 
 class TestConfig:
