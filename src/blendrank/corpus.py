@@ -2,7 +2,8 @@
 
 The inverted index is the statistics substrate for all lexical features:
 per-term postings with positions, document lengths, and collection-level
-counts (df, cf, total tokens).
+counts (df, cf, total tokens). Relevance judgments are held per query, with
+one string per distinct doc id: about 40 B per judgment.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import functools
 import io
 import re
 import struct
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,22 +110,33 @@ class QuerySet:
 
 
 class Qrels:
-    """Graded relevance judgments; an absent (query, doc) pair has grade 0."""
+    """Graded relevance judgments; an absent (query, doc) pair has grade 0.
 
-    def __init__(self, judgments: dict[tuple[str, str], int] | None = None):
-        self.judgments = judgments or {}
+    Built from a mapping or an iterable of ((query_id, doc_id), grade) pairs and
+    held once, as query id -> {doc id: grade} with one string per distinct doc
+    id. A repeated pair keeps its first position and its last grade."""
+
+    def __init__(self, judgments: Mapping | Iterable | None = None):
+        items = judgments.items() if isinstance(judgments, Mapping) else judgments or ()
         self._by_query: dict[str, dict[str, int]] = {}
-        for (qid, did), grade in self.judgments.items():
-            self._by_query.setdefault(qid, {})[did] = grade
+        doc_ids: dict[str, str] = {}
+        for (qid, did), grade in items:
+            self._by_query.setdefault(qid, {})[doc_ids.setdefault(did, did)] = grade
+
+    @property
+    def judgments(self) -> dict[tuple[str, str], int]:
+        """A new flat (query_id, doc_id) -> grade dict, grouped by query in first-seen order."""
+        return {(qid, did): grade for qid, docs in self._by_query.items()
+                for did, grade in docs.items()}
 
     def get(self, query_id: str, doc_id: str) -> int:
-        return self.judgments.get((query_id, doc_id), 0)
+        return self._by_query.get(query_id, {}).get(doc_id, 0)
 
     def for_query(self, query_id: str) -> dict[str, int]:
         return self._by_query.get(query_id, {})
 
     def __len__(self) -> int:
-        return len(self.judgments)
+        return sum(map(len, self._by_query.values()))
 
 
 def _read_tsv(path, id_name: str, empty: str) -> tuple[list[str], list[str], dict[str, int]]:
@@ -166,23 +178,25 @@ def load_qrels(path) -> Qrels:
 
     Unknown query/doc ids are kept; downstream consumers filter them.
     """
-    judgments: dict[tuple[str, str], int] = {}
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ValueError(f"{path}: malformed qrels line {lineno}: expected 4 fields")
-            qid, _, did, grade_s = parts
-            try:
-                grade = int(grade_s)
-            except ValueError:
-                raise ValueError(f"{path}: non-integer grade at line {lineno}: {grade_s!r}") from None
-            if grade < 0:
-                raise ValueError(f"{path}: negative grade at line {lineno}: {grade}")
-            judgments[(qid, did)] = grade
-    return Qrels(judgments)
+        return Qrels(_qrels_lines(path, f))
+
+
+def _qrels_lines(path, f):
+    for lineno, line in enumerate(f, start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise ValueError(f"{path}: malformed qrels line {lineno}: expected 4 fields")
+        qid, _, did, grade_s = parts
+        try:
+            grade = int(grade_s)
+        except ValueError:
+            raise ValueError(f"{path}: non-integer grade at line {lineno}: {grade_s!r}") from None
+        if grade < 0:
+            raise ValueError(f"{path}: negative grade at line {lineno}: {grade}")
+        yield (qid, did), grade
 
 
 class _ByTerm(Mapping):

@@ -132,9 +132,10 @@ def exit_leaves(compiled: CompiledEnsemble, matrix) -> np.ndarray:
 
 def score_batch(compiled: CompiledEnsemble, matrix) -> np.ndarray:
     """Score every row of a 2-d feature matrix; equals Ensemble.score_batch."""
-    leaf_values = compiled.value[exit_leaves(compiled, matrix)]
-    scores = np.zeros(leaf_values.shape[0], dtype=np.float64)
-    lr = compiled.learning_rate
-    for t in range(compiled.n_trees):
-        scores += lr * leaf_values[:, t]
+    contributions = compiled.value.take(exit_leaves(compiled, matrix).T)
+    contributions *= compiled.learning_rate
+    scores = np.zeros(contributions.shape[1], dtype=np.float64)
+    # Tree by tree, as Ensemble.score_batch: np.add.reduce sums one row pairwise.
+    for tree_values in contributions:
+        scores += tree_values
     return scores

@@ -3,7 +3,8 @@
 k-means and list assignment as they ran before `ivf.train_kmeans` and
 `ivf.build_ivf` worked in row blocks: one n x nlist distance matrix per
 pass, a fresh `points - center` array for every seeded center, and one
-masked mean per cluster. The blocked code must agree with it bit for bit;
+masked sum per cluster, taken row by row from its first member and divided
+by the count. The blocked code must agree with it bit for bit;
 the tests compare the two. Not a test module itself.
 """
 
@@ -69,8 +70,17 @@ def train_kmeans(vectors: EmbeddingMatrix, nlist: int, max_iters: int = 25,
         for c in range(nlist):
             members = points[assign == c]
             if members.shape[0]:
-                centers[c] = members.mean(axis=0)
+                centers[c] = _sum_from_first(members) / members.shape[0]
     return Centroids(centers)
+
+
+def _sum_from_first(rows: np.ndarray) -> np.ndarray:
+    """Rows summed in order from the first one; a sum started from +0.0 (as
+    `mean` starts it) would turn an all -0.0 column into +0.0."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 def build_ivf(vectors: EmbeddingMatrix, centroids: Centroids, metric: str = "dot") -> IvfIndex:

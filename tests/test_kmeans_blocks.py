@@ -99,6 +99,15 @@ def test_duplicate_rows(tmp_path):
     assert_full_probe_is_exhaustive(m, idx.centroids, rng.normal(size=(3, 4)))
 
 
+def test_all_negative_zero_column(tmp_path):
+    # The oracle sums each cluster from its first member, as train_kmeans
+    # does, so the column's -0.0 survives in every centroid on both sides.
+    rows = np.random.default_rng(11).normal(size=(2 * B + 1, 4)).astype(np.float32)
+    rows[:, 1] = -0.0
+    idx = assert_matches_oracle(EmbeddingMatrix(rows), 6, 6, 2, tmp_path)
+    assert np.all(np.signbit(idx.centroids.vectors[:, 1]))
+
+
 class CountingRng:
     """A default_rng stand-in that counts `integers` draws."""
 

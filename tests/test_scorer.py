@@ -243,6 +243,20 @@ class TestEquivalence:
         x = np.random.default_rng(13).normal(size=4)
         assert score_row(compile_ensemble(ens), x) == score_one(ens, x)
 
+    @pytest.mark.parametrize("n_rows", [1, 2, 3])
+    def test_few_rows_equal_the_tree_order_sum_bitwise(self, n_rows):
+        # np.add.reduce over the trees sums a single row pairwise, and a sum
+        # started from the first tree keeps a row of all -0.0 leaves at -0.0.
+        rng = np.random.default_rng(40 + n_rows)
+        ens = random_ensemble(41, n_trees=150, n_features=4, max_leaves=8)
+        for t in ens.trees:
+            t.value[rng.random(t.n_nodes) < 0.3] = -0.0
+        negative_zeros = Ensemble([stump(0, 0.0, -0.0, -0.0)] * 150, 0.1, 4)
+        X = np.round(rng.normal(size=(n_rows, 4)), 1)
+        for forest in (ens, negative_zeros):
+            got = score_batch(compile_ensemble(forest), X)
+            assert got.tobytes() == forest.score_batch(X).tobytes()
+
     def test_zero_rows(self):
         comp = compile_ensemble(random_ensemble(19, 4, 3, 6))
         out = score_batch(comp, np.zeros((0, 3)))
