@@ -97,7 +97,7 @@ def cmd_convert_embeddings(args) -> int:
 
 
 def _query_vectors(queries, path) -> dict:
-    """Query id -> vector from a CREM1 file holding one row per query, in
+    """Query id -> vector from a CREM2 file holding one row per query, in
     order; empty when there is no file."""
     if not path:
         return {}
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_encode_toy)
 
-    p = sub.add_parser("convert-embeddings", help="TSV of id<TAB>floats... to CREM1")
+    p = sub.add_parser("convert-embeddings", help="TSV of id<TAB>floats... to CREM2")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_convert_embeddings)

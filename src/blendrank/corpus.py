@@ -2,25 +2,32 @@
 
 The inverted index is the statistics substrate for all lexical features:
 per-term postings with positions, document lengths, and collection-level
-counts (df, cf, total tokens). Relevance judgments are held per query, with
-one string per distinct doc id: about 40 B per judgment.
+counts (df, cf, total tokens); saved as CRIX2, it loads as views of the
+file's bytes. Relevance judgments are held per query, with one string per
+distinct doc id: about 40 B per judgment.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import re
-import struct
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binformat import SectionReader
+from .binformat import Format, SectionReader, write
 
-INDEX_MAGIC = b"CRIX1"
+INDEX_FORMAT = Format(
+    "CRIX2", ("stemmed", "n_docs", "total_tokens", "n_terms", "n_postings", "n_positions",
+              "term_bytes"),
+    (("doc_len", "<i8", lambda h: h["n_docs"]),
+     ("term_offsets", "<i8", lambda h: h["n_terms"] + 1), ("df", "<i8", lambda h: h["n_terms"]),
+     ("term", "u1", lambda h: h["term_bytes"]), ("ids", "<i8", lambda h: h["n_postings"]),
+     ("tfs", "<i8", lambda h: h["n_postings"]), ("positions", "<i4", lambda h: h["n_positions"])),
+    "index-lexical")
 _MAX_DOC_LEN = int(np.iinfo(np.int32).max)
+_BLOCK = 1 << 16  # postings per block of a whole-index pass
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -242,13 +249,16 @@ class InvertedIndex:
         self.cf = _ByTerm(self.term_index, lambda i: int(cf[i]))
         self.postings = _ByTerm(self.term_index, lambda i: (
             ids[o[i]:o[i + 1]], tfs[o[i]:o[i + 1]], positions[r[o[i]]:r[o[i + 1]]]))
-        self.unique_terms = np.bincount(ids, minlength=self.n_docs)
-        # bincount adds each document's squared weights in sorted term order,
-        # as the ids lie, so a built index and its loaded copy sum them alike.
-        w = np.repeat(np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0), df)
-        w *= tfs
-        w *= w
-        self.tfidf_norm = np.sqrt(np.bincount(ids, w, self.n_docs))
+        self.unique_terms = np.zeros(self.n_docs, dtype=np.int64)
+        np.add.at(self.unique_terms, ids, 1)
+        # add.at sums each document's squared weights in sorted term order, as the ids
+        # lie, for built and loaded alike; by blocks of terms, so no temporary is as long.
+        idf, sq = np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0), np.zeros(self.n_docs)
+        edges = np.searchsorted(o, np.arange(0, o[-1], _BLOCK)).tolist() + [df.shape[0]]
+        for a, b in zip(edges, edges[1:]):
+            w = np.repeat(idf[a:b], df[a:b]) * tfs[o[a]:o[b]]
+            np.add.at(sq, ids[o[a]:o[b]], w * w)
+        self.tfidf_norm = np.sqrt(sq)
 
     def idf(self, term: str) -> float:
         """ln((N - df + 0.5) / (df + 0.5) + 1); defined (and large) for unseen terms."""
@@ -280,110 +290,93 @@ def build_inverted_index(corpus: Corpus, stem: bool = False) -> InvertedIndex:
 
 
 def save_inverted_index(index: InvertedIndex, path) -> None:
-    """Serialize to the versioned CRIX1 binary format (terms in sorted order)."""
-    buf = io.BytesIO()
-    buf.write(INDEX_MAGIC)
-    buf.write(struct.pack("<BIQ", 1 if index.stemmed else 0, index.n_docs, index.total_tokens))
-    buf.write(index.doc_len.astype("<i8").tobytes())
-    buf.write(struct.pack("<I", len(index.terms)))
-    for term, (ids, tfs, pos) in index.postings.items():
-        raw = term.encode("utf-8")
-        buf.writelines((struct.pack("<HI", len(raw), ids.shape[0]), raw, ids.astype("<i8"),
-                        tfs.astype("<i8"), pos.astype("<i4")))
-    with open(path, "wb") as f:
-        f.write(buf.getvalue())
+    """Serialize to the CRIX2 binary format (terms in sorted order)."""
+    raw = [t.encode("utf-8") for t in index.terms]
+    term_offsets = np.cumsum([0] + [len(b) for b in raw])
+    write(path, INDEX_FORMAT, dict(zip(INDEX_FORMAT.header, (
+        int(index.stemmed), index.n_docs, index.total_tokens, len(raw), index.ids.shape[0],
+        index.positions.shape[0], int(term_offsets[-1])))), {
+        "doc_len": index.doc_len, "term_offsets": term_offsets, "df": np.diff(index.offsets),
+        "term": np.frombuffer(b"".join(raw), np.uint8), "ids": index.ids, "tfs": index.tfs,
+        "positions": index.positions})
 
 
-def _falls(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Whether each element is not above the one before it in its run (runs begin at `starts`)."""
-    out = np.zeros(values.shape[0] + 1, dtype=bool)  # starts may hold len(values)
-    np.less_equal(values[1:], values[:-1], out=out[1:-1])
-    out[starts] = False
-    return out[:-1]
+def _first_bad(n: int, bad) -> int:
+    """The first i < n that bad(a, b), a mask over [a, b), flags one block at a time; else n."""
+    for a in range(0, n, _BLOCK):
+        mask = bad(a, min(a + _BLOCK, n))
+        if mask.any():
+            return a + int(mask.argmax())
+    return n
 
 
-def _first(bad: np.ndarray, starts: np.ndarray) -> int:
-    """The run (runs begin at `starts`) holding the first True, or holding len(bad) if none."""
-    i = int(bad.argmax()) if bad.any() else bad.shape[0]
-    return int(np.searchsorted(starts, i, side="right")) - 1
-
-
-def _check_postings(r: SectionReader, terms: list[str], df: list[int], ids: np.ndarray,
-                    tfs: np.ndarray, starts: np.ndarray, pos: np.ndarray, n_tfs: int,
-                    n_pos: int, doc_len: np.ndarray) -> None:
-    """Raise the error that checking each term's ids, tfs and positions in turn
-    would meet first. ids, tfs and pos hold the first len(df), n_tfs and n_pos
-    terms' arrays; starts is 0 and then cumsum(tfs). Each check looks only at
-    the terms before the first fault found so far, where ids index doc_len and
-    tfs mark out the runs."""
-    n, offsets = doc_len.shape[0], np.concatenate(([0], np.cumsum(df, dtype=np.int64)))
-    limit = min(_first((ids < 0) | (ids >= n) | _falls(ids, offsets[:-1]), offsets),
-                df.index(0) if 0 in df else len(df))
-    fault = ("ids", f"must strictly increase within 0..{n - 1}") if limit < len(df) else None
-    upper = min(limit, n_tfs)
-    lens = doc_len[ids[:offsets[upper]]]
-    t = _first((tfs[:lens.shape[0]] < 1) | (tfs[:lens.shape[0]] > lens), offsets)
-    if t < upper:
-        fault, limit = ("tfs", "must lie in 1..doc_len"), t
-    upper = min(limit, n_pos)
-    runs = starts[:offsets[upper] + 1]
-    p = pos[:runs[-1]]
-    t = _first(_falls(p, runs[:-1]), runs[offsets[:upper + 1]])
-    bad = p[runs[:-1]] < 0  # the runs rise, so their first and last positions bound them
-    runs[1:] -= 1  # in place, and undone below: the index keeps these starts
-    t = min(t, _first(bad | (p[runs[1:]] >= lens[:bad.shape[0]]), offsets))
-    runs[1:] += 1
-    if t < upper:
-        fault, limit = ("positions", "must strictly increase within each posting and "
-                                     "lie in 0..doc_len-1"), t
-    if fault is not None:
-        raise r.fail(fault[0], f"of {terms[limit]!r} {fault[1]}")
+def _falls(values: np.ndarray, starts: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Whether each of values[a:b] is not above the one before it in its run."""
+    out = np.zeros(b - a, dtype=bool)
+    lo = max(a, 1)
+    np.less_equal(values[lo:b], values[lo - 1:b - 1], out=out[lo - a:])
+    out[starts[np.searchsorted(starts, a):np.searchsorted(starts, b)] - a] = False
+    return out
 
 
 def load_inverted_index(path) -> InvertedIndex:
-    """Read a CRIX1 file; a damaged or inconsistent file raises ValueError
-    naming the path, the section at fault and, for a term's arrays, the term.
-    One walk finds where each term's arrays lie; they are checked joined."""
-    r = SectionReader(path, INDEX_MAGIC)
-    stemmed, n_docs, total_tokens = r.fields("header", "<BIQ")
-    if stemmed > 1:
-        raise r.fail("header", f"has stemmed flag {stemmed}, not 0 or 1")
-    doc_len = r.array("doc_len", "<i8", n_docs)
+    """Read a CRIX2 file into an index of views of its bytes. A damaged or inconsistent
+    file raises ValueError naming the path, the first faulty section in file order
+    and, for a term's arrays, the first faulty term; checks run in blocks of postings."""
+    r = SectionReader(path, INDEX_FORMAT)
+    h, a = r.header, r.arrays
+    n, n_postings = h["n_docs"], h["n_postings"]
+    if h["stemmed"] > 1:
+        raise r.fail("header", f"has stemmed flag {h['stemmed']}, not 0 or 1")
+    doc_len = a["doc_len"]
     # A position is an int32, so no document is longer; this also keeps
     # every sum below in range.
-    if np.any((doc_len < 0) | (doc_len > _MAX_DOC_LEN)) or int(doc_len.sum()) != total_tokens:
+    if np.any((doc_len < 0) | (doc_len > _MAX_DOC_LEN)) or int(doc_len.sum()) != h["total_tokens"]:
         raise r.fail("doc_len", f"must lie in 0..{_MAX_DOC_LEN} and sum to the "
-                                f"header's total_tokens {total_tokens}")
-    (n_terms,) = r.fields("term count", "<I")
-    terms, views, walk_error = [], ([], [], []), None  # views of ids, tfs and positions
-    try:
-        for _ in range(n_terms):
-            term_len, df = r.fields("term header", "<HI")
-            try:
-                term = r.raw("term", term_len).decode("utf-8")
-            except UnicodeDecodeError:
-                raise r.fail("term", "is not UTF-8") from None
-            if terms and term <= terms[-1]:
-                raise r.fail("term", f"{term!r} does not sort after {terms[-1]!r}")
-            terms.append(term)
-            views[0].append(np.frombuffer(r.data, "<i8", df, r.take("ids", 8 * df)))
-            views[1].append(np.frombuffer(r.data, "<i8", df, r.take("tfs", 8 * df)))
-            n_pos = int(views[1][-1].sum())
-            views[2].append(np.frombuffer(r.data, "<i4", n_pos, r.take("positions", 4 * n_pos)))
-        r.end()
-    except ValueError as e:
-        # A bad tf misplaces what follows it: the walked terms are checked first.
-        walk_error = e
-    df, n_tfs, n_pos = [v.shape[0] for v in views[0]], len(views[1]), len(views[2])
-    ids, tfs, pos = (np.concatenate([np.empty(0, dtype), *v])
-                     for v, dtype in zip(views, ("<i8", "<i8", "<i4")))
-    del views, r.data  # free the file's bytes before the checks
-    starts = np.concatenate(([0], np.cumsum(tfs)))  # the runs' starts, also kept by the index
-    _check_postings(r, terms, df, ids, tfs, starts, pos, n_tfs, n_pos, doc_len)
-    if walk_error is not None:
-        raise walk_error
-    # Exact in float64: the tfs are positive, so a sum past 2**53 exceeds any doc_len.
-    if not np.array_equal(np.bincount(ids, tfs, n_docs), doc_len):
+                                f"header's total_tokens {h['total_tokens']}")
+    bounds = a["term_offsets"]
+    if bounds[0] != 0 or bounds[-1] != h["term_bytes"] or np.any(bounds[1:] < bounds[:-1]):
+        raise r.fail("term_offsets", f"must run from 0 to term_bytes={h['term_bytes']} "
+                                     "without decreasing")
+    df = a["df"]
+    if np.any((df < 1) | (df > n_postings)) or int(df.sum()) != n_postings:
+        raise r.fail("df", f"must lie in 1..n_postings and sum to n_postings={n_postings}")
+    raw, bounds, terms = a["term"].tobytes(), bounds.tolist(), []
+    for i, j in zip(bounds, bounds[1:]):
+        try:
+            term = raw[i:j].decode("utf-8")
+        except UnicodeDecodeError:
+            raise r.fail("term", f"is not UTF-8 at term {len(terms)}") from None
+        if terms and term <= terms[-1]:
+            raise r.fail("term", f"{term!r} does not sort after {terms[-1]!r}")
+        terms.append(term)
+    offsets = np.concatenate(([0], np.cumsum(df)))
+    ids, tfs, pos = a["ids"], a["tfs"], a["positions"]
+
+    def term_of(posting: int) -> str:
+        return terms[int(np.searchsorted(offsets, posting, side="right")) - 1]
+
+    k = _first_bad(n_postings, lambda i, j: (ids[i:j] < 0) | (ids[i:j] >= n)
+                   | _falls(ids, offsets, i, j))
+    if k < n_postings:
+        raise r.fail("ids", f"of {term_of(k)!r} must strictly increase within 0..{n - 1}")
+    k = _first_bad(n_postings, lambda i, j: (tfs[i:j] < 1) | (tfs[i:j] > doc_len[ids[i:j]]))
+    starts = np.zeros(n_postings + 1, dtype=np.int64)  # the runs' starts, kept by the index
+    np.cumsum(tfs, out=starts[1:])
+    if k < n_postings or starts[-1] != h["n_positions"]:
+        raise r.fail("tfs", f"of {term_of(k)!r} must lie in 1..doc_len" if k < n_postings else
+                     f"sum to {starts[-1]}, not the header's n_positions {h['n_positions']}")
+    # Where every run rises, its first and last positions bound it.
+    k = min(int(np.searchsorted(starts, _first_bad(pos.shape[0], lambda i, j: _falls(
+                pos, starts, i, j)), side="right")) - 1,
+            _first_bad(n_postings, lambda i, j: (pos[starts[i:j]] < 0)
+                       | (pos[starts[i + 1:j + 1] - 1] >= doc_len[ids[i:j]])))
+    if k < n_postings:
+        raise r.fail("positions", f"of {term_of(k)!r} must strictly increase within each "
+                                  "posting and lie in 0..doc_len-1")
+    totals = np.zeros(n, dtype=np.int64)
+    np.add.at(totals, ids, tfs)  # each tf is at most 2**31, so no total wraps
+    if not np.array_equal(totals, doc_len):
         raise r.fail("doc_len", "does not equal each document's position total")
-    return InvertedIndex(terms, df, ids, tfs, pos, doc_len, stemmed=bool(stemmed),
+    return InvertedIndex(terms, df, ids, tfs, pos, doc_len, stemmed=bool(h["stemmed"]),
                          starts=starts)

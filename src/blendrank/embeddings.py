@@ -1,7 +1,7 @@
 """Dense vector storage and the deterministic toy encoder.
 
 Embeddings are produced offline by an external encoder and loaded from the
-CREM1 binary format (f32 rows). The toy encoder is a seeded random
+CREM2 binary format (f32 rows). The toy encoder is a seeded random
 projection used for synthetic datasets and tests: good enough to carry a
 "semantic" signal, with no neural runtime involved.
 """
@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .binformat import SectionReader
+from .binformat import Format, SectionReader, write
 from .corpus import tokenize
 
-EMBEDDING_MAGIC = b"CREM1"
+EMBEDDING_FORMAT = Format("CREM2", ("n_rows", "dim"),
+                          (("rows", "<f4", lambda h: h["n_rows"] * h["dim"]),),
+                          "convert-embeddings")
 
 
 @dataclass
@@ -50,23 +51,19 @@ class EmbeddingMatrix:
 
 def save_embeddings(matrix: EmbeddingMatrix | np.ndarray, path) -> None:
     rows = matrix.rows if isinstance(matrix, EmbeddingMatrix) else np.asarray(matrix, dtype=np.float32)
-    with open(path, "wb") as f:
-        f.write(EMBEDDING_MAGIC)
-        f.write(struct.pack("<II", rows.shape[0], rows.shape[1]))
-        f.write(rows.astype("<f4").tobytes())
+    write(path, EMBEDDING_FORMAT, {"n_rows": rows.shape[0], "dim": rows.shape[1]}, {"rows": rows})
 
 
 def load_embeddings(path, expected_rows: int | None = None) -> EmbeddingMatrix:
-    """Load a CREM1 file; row count is checked against the collection size."""
-    r = SectionReader(path, EMBEDDING_MAGIC)
-    n_rows, dim = r.fields("header", "<II")
+    """Load a CREM2 file as a view of its bytes; the row count must be expected_rows."""
+    r = SectionReader(path, EMBEDDING_FORMAT)
+    n_rows, dim = r.header.values()
     if expected_rows is not None and n_rows != expected_rows:
         raise r.fail("header", f"gives {n_rows} rows; expected {expected_rows} rows")
-    rows = r.array("payload", "<f4", n_rows * dim).reshape(n_rows, dim)
-    r.end()
-    if not np.isfinite(rows).all():
-        raise r.fail("payload", "contains non-finite values")
-    return EmbeddingMatrix(rows)
+    try:
+        return EmbeddingMatrix(r.arrays["rows"].reshape(n_rows, dim))
+    except ValueError:  # the rows are 2-d, so only a non-finite value fails
+        raise r.fail("rows", "contains non-finite values") from None
 
 
 @functools.lru_cache(maxsize=None)

@@ -21,18 +21,20 @@ few rows can round differently from the same rows of a larger product.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .binformat import SectionReader
+from .binformat import Format, SectionReader, write
 from .embeddings import EmbeddingMatrix
 
-IVF_MAGIC = b"CRIV1"
-
 METRICS = ("dot", "cosine")
+
+IVF_FORMAT = Format("CRIV2", ("metric", "nlist", "dim", "n_docs"), (
+    ("centroids", "<f8", lambda h: h["nlist"] * h["dim"]),
+    ("offsets", "<i8", lambda h: h["nlist"] + 1), ("ids", "<i8", lambda h: h["n_docs"]),
+    ("vectors", "<f4", lambda h: h["n_docs"] * h["dim"])), "index-dense")
 
 
 @dataclass
@@ -287,29 +289,21 @@ def search(index: IvfIndex, q: np.ndarray, k: int, nprobe: int) -> Ranking:
 
 
 def save_ivf(index: IvfIndex, path) -> None:
-    with open(path, "wb") as f:
-        f.write(IVF_MAGIC)
-        f.write(struct.pack("<BIIQ", METRICS.index(index.metric), index.nlist,
-                            index.centroids.dim, index.n_docs))
-        f.write(index.centroids.vectors.astype("<f8").tobytes())
-        f.write(index.offsets.astype("<i8").tobytes())
-        f.write(index.ids.astype("<i8").tobytes())
-        f.write(index.vectors.astype("<f4").tobytes())
+    write(path, IVF_FORMAT, {"metric": METRICS.index(index.metric), "nlist": index.nlist,
+                             "dim": index.centroids.dim, "n_docs": index.n_docs},
+          {"centroids": index.centroids.vectors, "offsets": index.offsets, "ids": index.ids,
+           "vectors": index.vectors})
 
 
 def load_ivf(path) -> IvfIndex:
-    """Read a CRIV1 file; a damaged file raises ValueError naming the path
-    and the section at fault."""
-    r = SectionReader(path, IVF_MAGIC)
-    metric_code, nlist, dim, n_docs = r.fields("header", "<BIIQ")
+    """Read a CRIV2 file; a damaged file raises ValueError naming the path
+    and the section at fault. The index keeps views of the file's bytes."""
+    r = SectionReader(path, IVF_FORMAT)
+    (metric_code, nlist, dim, n_docs), (centroids, offsets, ids, vectors) = (
+        r.header.values(), r.arrays.values())
     if metric_code >= len(METRICS) or nlist < 1:
         raise r.fail("header", f"names metric code {metric_code} and {nlist} lists; "
                                f"want a code below {len(METRICS)} and at least 1 list")
-    centroids = r.array("centroids", "<f8", nlist * dim)
-    offsets = r.array("offsets", "<i8", nlist + 1)
-    ids = r.array("ids", "<i8", n_docs)
-    vectors = r.array("vectors", "<f4", n_docs * dim)
-    r.end()
     if not np.isfinite(centroids).all():
         raise r.fail("centroids", "contains non-finite values")
     if offsets[0] != 0 or offsets[-1] != n_docs or np.any(np.diff(offsets) < 0):

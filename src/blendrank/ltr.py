@@ -15,6 +15,7 @@ most MAX_BINS distinct values per feature this is the exact split search.
 
 from __future__ import annotations
 
+import base64
 import heapq
 import json
 from dataclasses import dataclass, field, asdict, replace
@@ -30,7 +31,7 @@ EPS = 1e-9
 LEAF_CLAMP = 100.0
 
 MODEL_FORMAT = "blendrank-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass
@@ -606,17 +607,31 @@ def feature_gains(ensemble: Ensemble) -> dict[int, float]:
     return gains
 
 
-_TREE_ARRAYS = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
-                "right": np.int64, "value": np.float64, "gain": np.float64}
+_TREE_ARRAYS = {"feature": "<i8", "threshold": "<f8", "left": "<i8", "right": "<i8",
+                "value": "<f8", "gain": "<f8"}
 
 
-def _tree_to_dict(t: RegressionTree) -> dict:
-    return {name: getattr(t, name).tolist() for name in _TREE_ARRAYS}
+def _pack_trees(trees: list[RegressionTree]) -> dict:
+    """Node counts, and one base64 string of little-endian values per tree array, over all trees."""
+    packed = {"sizes": [t.n_nodes for t in trees]}
+    for name, dtype in _TREE_ARRAYS.items():
+        flat = np.concatenate([np.zeros(0, dtype)] + [getattr(t, name) for t in trees])
+        packed[name] = base64.b64encode(flat.astype(dtype)).decode("ascii")
+    return packed
 
 
-def _tree_from_dict(d: dict) -> RegressionTree:
-    return RegressionTree(**{name: np.array(d[name], dtype=dtype)
-                             for name, dtype in _TREE_ARRAYS.items()})
+def _unpack_trees(packed: dict) -> list[RegressionTree]:
+    bounds, arrays = np.cumsum([0] + packed["sizes"]).tolist(), {}
+    for name, dtype in _TREE_ARRAYS.items():
+        try:
+            arrays[name] = np.frombuffer(base64.b64decode(packed[name], validate=True), dtype)
+        except ValueError as e:
+            raise ValueError(f"trees {name} is not base64 of 8-byte values: {e}") from None
+        if arrays[name].shape[0] != bounds[-1]:
+            raise ValueError(f"trees {name} holds {arrays[name].shape[0]} values; the sizes "
+                             f"give {bounds[-1]} nodes")
+    return [RegressionTree(**{name: a[lo:hi] for name, a in arrays.items()})
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def forest_fault(trees: list[RegressionTree], feature_count: int) -> tuple[int, str] | None:
@@ -674,7 +689,7 @@ def save_model(ensemble: Ensemble, path) -> None:
         "mask_included": (ensemble.mask_included.tolist()
                           if ensemble.mask_included is not None else None),
         "metadata": ensemble.metadata,
-        "trees": [_tree_to_dict(t) for t in ensemble.trees],
+        "trees": _pack_trees(ensemble.trees),
     }
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
@@ -686,10 +701,13 @@ def load_model(path) -> Ensemble:
         doc = json.load(f)
     if doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} file")
+    if doc.get("version") != MODEL_VERSION:
+        raise ValueError(f"{path}: model version {doc.get('version')}; this version reads "
+                         f"only version {MODEL_VERSION}: retrain it with `blendrank train`")
     included = doc.get("mask_included")
     try:
         return Ensemble(
-            [_tree_from_dict(d) for d in doc["trees"]],
+            _unpack_trees(doc["trees"]),
             doc["learning_rate"],
             doc["feature_count"],
             doc.get("mask_variant", "full"),

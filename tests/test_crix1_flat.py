@@ -1,22 +1,23 @@
-"""The flat CRIX1 loader and index against the term-by-term oracle.
+"""The flat CRIX2 loader and index against the term-by-term oracle.
 
-`load_inverted_index` walks the terms once and checks the joined arrays
-whole; `crix1_oracle` copies and checks each term's arrays on its own. Both
-must give the same postings and statistics bit for bit, and a damaged file
-must fail the same way in both.
+`load_inverted_index` checks each section's arrays whole, in blocks of
+postings, and keeps views of the file; `crix_oracle` copies and checks each
+term's arrays on its own. Both must give the same postings and statistics
+bit for bit, and a damaged file must fail the same way in both.
 """
 
 import tracemalloc
+import zlib
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import crix1_oracle
+import crix_oracle
 from blendrank.corpus import (Corpus, build_inverted_index, load_inverted_index,
                               save_inverted_index)
 from blendrank.synthetic import make_synthetic
-from test_binformat import crix1_sections, damaged_cases
+from test_binformat import crix_sections, damaged_cases
 
 
 def assert_same(index, oracle):
@@ -36,9 +37,9 @@ def assert_same(index, oracle):
 
 def assert_loads_like_oracle(corpus, stem, path):
     built = build_inverted_index(corpus, stem)
-    assert_same(built, crix1_oracle.OracleIndex(dict(built.postings), built.doc_len, stem))
+    assert_same(built, crix_oracle.OracleIndex(dict(built.postings), built.doc_len, stem))
     save_inverted_index(built, path)
-    assert_same(load_inverted_index(path), crix1_oracle.load_inverted_index(path))
+    assert_same(load_inverted_index(path), crix_oracle.load_inverted_index(path))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -52,24 +53,42 @@ def test_flat_load_equals_oracle(tmp_path_factory, texts, stem):
 
 
 def test_flat_load_equals_oracle_on_synthetic_corpus(tmp_path):
-    assert_loads_like_oracle(make_synthetic(2000, 5, 16, 7).corpus, False, tmp_path / "a.crix")
+    # 164,211 postings: the index's statistics and checks span three blocks.
+    assert_loads_like_oracle(make_synthetic(6000, 5, 16, 7).corpus, False, tmp_path / "a.crix")
+
+
+def rechecksummed_cases(original, sections, rng, count):
+    """Seeded single-bit flips inside section payloads, each followed by the
+    section's CRC32 written anew, so only the loaders' value checks can see
+    them."""
+    payloads = [(a, e) for name, a, e, _ in sections if name != "magic" and e > a]
+    for _ in range(count):
+        a, e = payloads[int(rng.integers(len(payloads)))]
+        byte = int(rng.integers(a, e))
+        damaged = bytearray(original)
+        damaged[byte] ^= 1 << int(rng.integers(8))
+        damaged[e:e + 4] = zlib.crc32(damaged[a:e]).to_bytes(4, "little")
+        yield f"bit flip at {byte}, checksum rewritten", bytes(damaged)
 
 
 def test_damaged_copies_fail_as_the_oracle_fails(tmp_path):
-    """On the seeded stream of damaged copies, both loaders raise the same
-    ValueError or load equal indexes."""
+    """On seeded streams of damaged copies, plain and re-checksummed, both
+    loaders raise the same ValueError or load equal indexes."""
     texts = ["the cat sat on the mat", "a cat and a dog", "", "dog eat dog",
              "mat mat mat", "on and on", "the dog sat and sat"]
     index = build_inverted_index(Corpus([f"d{i}" for i in range(len(texts))], texts))
     save_inverted_index(index, tmp_path / "ok.crix")
     original = (tmp_path / "ok.crix").read_bytes()
+    sections = crix_sections(index)
     path = tmp_path / "damaged.crix"
     outcomes = {"raised": 0, "loaded": 0}
-    for label, damaged, _ in damaged_cases(original, crix1_sections(index),
-                                           np.random.default_rng(16)):
+    cases = [(label, damaged) for label, damaged, _ in
+             damaged_cases(original, sections, np.random.default_rng(16), 200)]
+    cases += rechecksummed_cases(original, sections, np.random.default_rng(17), 1200)
+    for label, damaged in cases:
         path.write_bytes(damaged)
         try:
-            want = crix1_oracle.load_inverted_index(path)
+            want = crix_oracle.load_inverted_index(path)
         except ValueError as e:
             try:
                 load_inverted_index(path)
@@ -81,21 +100,22 @@ def test_damaged_copies_fail_as_the_oracle_fails(tmp_path):
             continue
         assert_same(load_inverted_index(path), want)
         outcomes["loaded"] += 1
-    assert outcomes["raised"] > 300 and outcomes["loaded"] > 0
+    assert outcomes["raised"] > 1000 and outcomes["loaded"] > 0, outcomes
 
 
-def test_load_peak_memory_within_the_oracle(tmp_path):
-    save_inverted_index(build_inverted_index(make_synthetic(2000, 5, 16, 7).corpus),
+def test_load_peak_memory_within_bound_of_retained(tmp_path):
+    """The file's bytes are the index's arrays, and the checks and statistics
+    run over blocks of postings: a load's tracemalloc peak stays within 1.3
+    times what the loaded index keeps."""
+    save_inverted_index(build_inverted_index(make_synthetic(6000, 5, 16, 7).corpus),
                         tmp_path / "a.crix")
-    peaks = []
     tracemalloc.start()
     try:
-        for load in (crix1_oracle.load_inverted_index, load_inverted_index):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            loaded = load(tmp_path / "a.crix")
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-            del loaded
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loaded = load_inverted_index(tmp_path / "a.crix")
+        retained, peak = (m - base for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert peaks[1] <= peaks[0], peaks
+    assert loaded.ids.shape[0] > 2 * 65536  # more than two blocks of postings
+    assert peak <= 1.3 * retained, (peak, retained)

@@ -1,6 +1,6 @@
 """Embedding storage and toy encoder tests."""
 
-import struct
+import re
 
 import numpy as np
 import pytest
@@ -45,20 +45,16 @@ class TestStorage:
 
     def test_nan_payload_rejected(self, tmp_path):
         path = tmp_path / "e.crem"
-        with open(path, "wb") as f:
-            f.write(b"CREM1")
-            f.write(struct.pack("<II", 1, 2))
-            f.write(struct.pack("<ff", 1.0, float("nan")))
-        with pytest.raises(ValueError, match="non-finite"):
+        save_embeddings(np.array([[1.0, np.nan]], dtype=np.float32), path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: rows section contains non-finite")):
             load_embeddings(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "e.crem"
-        with open(path, "wb") as f:
-            f.write(b"CREM1")
-            f.write(struct.pack("<II", 2, 2))
-            f.write(struct.pack("<f", 1.0))
-        with pytest.raises(ValueError, match="payload"):
+        save_embeddings(np.ones((2, 2), dtype=np.float32), path)
+        # magic 8, header 16 + CRC 4 + padding 4, then 4 of the rows' 16 bytes
+        path.write_bytes(path.read_bytes()[:8 + 24 + 4])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: rows section truncated")):
             load_embeddings(path)
 
     def test_norms_cached(self):

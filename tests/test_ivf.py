@@ -375,18 +375,26 @@ def save_damaged(idx, path, offsets=None, ids=None):
     return path
 
 
+def criv2_sections(sizes):
+    """(section, first byte, payload bytes) after the 8-byte magic; each
+    payload is followed by its 4-byte CRC32 and zero padding to 8 bytes."""
+    out, at = [], 8
+    for name, size in sizes:
+        out.append((name, at, size))
+        at += -(-(size + 4) // 8) * 8
+    return out
+
+
 class TestDamagedFile:
-    """A damaged CRIV1 file fails with the path and the section named."""
+    """A damaged CRIV2 file fails with the path and the section named."""
 
     # (section, first byte, byte count) for the 45-list, 16-d, 2,000-doc index.
-    SECTIONS = [("header", 5, 17), ("centroids", 22, 8 * 45 * 16),
-                ("offsets", 22 + 8 * 45 * 16, 8 * 46),
-                ("ids", 22 + 8 * 45 * 16 + 8 * 46, 8 * 2000),
-                ("vectors", 22 + 8 * 45 * 16 + 8 * 46 + 8 * 2000, 4 * 2000 * 16)]
+    SECTIONS = criv2_sections([("header", 32), ("centroids", 8 * 45 * 16), ("offsets", 8 * 46),
+                               ("ids", 8 * 2000), ("vectors", 4 * 2000 * 16)])
 
     def test_intact_file_loads(self, synthetic_index, tmp_path):
         path = save_damaged(synthetic_index, tmp_path / "ok.criv")
-        assert path.stat().st_size == sum(n for _, _, n in self.SECTIONS) + 5
+        assert path.stat().st_size == 8 + sum(-(-(n + 4) // 8) * 8 for _, _, n in self.SECTIONS)
         loaded = load_ivf(path)
         np.testing.assert_array_equal(loaded.offsets, synthetic_index.offsets)
         np.testing.assert_array_equal(loaded.ids, synthetic_index.ids)

@@ -2,7 +2,7 @@
 
 `train_kmeans` and `build_ivf` take distances one near-equal row block at a
 time; `kmeans_oracle` takes them as one n x nlist matrix. Centroids, lists
-and CRIV1 bytes must agree bit for bit, on shapes whose row counts cross the
+and CRIV2 bytes must agree bit for bit, on shapes whose row counts cross the
 block bounds.
 """
 

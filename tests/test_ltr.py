@@ -2,6 +2,7 @@
 set construction, early stopping, and reproducibility."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -713,6 +714,33 @@ class TestTrain:
             save_model(load_model(tmp_path / "a.json"), tmp_path / "b.json")
             assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_save_load_keeps_every_tree_array_bit_for_bit(self, tmp_path):
+        ens = train(synthetic_dataset(13), synthetic_dataset(14), train_params())
+        payload_nan = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+        odd = RegressionTree(np.array([0, -1, -1]), np.array([-0.0, np.nan, payload_nan]),
+                             np.array([1, -1, -1]), np.array([2, -1, -1]),
+                             np.array([0.0, -0.0, np.nan]), np.array([-np.nan, -0.0, 5e-324]))
+        model = Ensemble([*ens.trees, odd], ens.learning_rate, ens.feature_count)
+        save_model(model, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        assert len(loaded.trees) == len(model.trees)
+        for want, got in zip(model.trees, loaded.trees):
+            for name in ltr._TREE_ARRAYS:
+                a, b = getattr(want, name), getattr(got, name)
+                assert b.dtype == a.dtype and np.array_equal(b.view(np.uint8), a.view(np.uint8))
+
+    def test_version_1_model_rejected_naming_version_and_command(self, tmp_path):
+        import json
+        path = tmp_path / "old.json"
+        save_model(Ensemble([], 0.1, 3), path)
+        doc = json.loads(path.read_text())
+        doc["version"], doc["trees"] = 1, []
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: model version 1; this version reads only version 2: "
+                "retrain it with `blendrank train`")):
+            load_model(path)
+
     @pytest.mark.parametrize("tree", [
         # node 1 points back to node 0: a cycle
         {"feature": [0, 0, -1], "left": [1, 0, -1], "right": [2, 1, -1]},
@@ -731,6 +759,7 @@ class TestTrain:
     ], ids=["cycle", "child_out_of_range", "feature_out_of_range", "non_adjacent_children",
             "two_parents", "leaf_with_child", "unequal_lengths"])
     def test_malformed_tree_rejected_naming_file_and_tree(self, tmp_path, tree):
+        import base64
         import json
         good = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
                 "value": [0.5], "gain": [0.0]}
@@ -739,9 +768,14 @@ class TestTrain:
         path = tmp_path / "model.json"
         save_model(Ensemble([], 0.1, 3), path)
         doc = json.loads(path.read_text())
-        doc["trees"] = [good, bad]
+        doc["trees"] = {"sizes": [1, n], **{
+            name: base64.b64encode(np.array(good[name] + bad[name], dtype).tobytes()).decode()
+            for name, dtype in ltr._TREE_ARRAYS.items()}}
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=r"model\.json: tree 1: "):
+        # The packed arrays share one node count, so a short array is named
+        # by its length against the sizes.
+        want = "tree 1: " if len(bad["right"]) == n else "trees right holds 3 values; the sizes"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {want}")):
             load_model(path)
 
     def test_forest_fault_names_the_first_bad_tree(self):
