@@ -15,7 +15,8 @@ from .embeddings import EmbeddingMatrix, load_embeddings, save_embeddings, toy_e
 from .features import build_registry
 from .ltr import (TrainParams, feature_gains, load_dataset, load_model, save_dataset,
                   save_model, write_train_log)
-from .metrics import bonferroni, evaluate_run, load_run, paired_t_test, per_query_diff, write_run
+from .metrics import (bonferroni, evaluate_run, load_run, paired_t_test, paired_values,
+                      per_query_diff, write_run)
 from .pipeline import (Pipeline, PipelineConfig, build_blended_datasets, sweep,
                        sweep_to_csv, train_variant)
 from .synthetic import make_synthetic
@@ -70,14 +71,8 @@ def cmd_index_dense(args) -> int:
 
 
 def cmd_encode_toy(args) -> int:
-    rows = []
-    with open(args.input, "r", encoding="utf-8") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            _, text = line.split("\t", 1)
-            rows.append(toy_encode(text, args.dim, args.seed))
+    rows = [toy_encode(text, args.dim, args.seed)
+            for text in corpus_io.load_queries(args.input).texts]
     save_embeddings(EmbeddingMatrix(np.array(rows, dtype=np.float32)), args.out)
     print(f"encoded {len(rows)} rows at dim {args.dim} -> {args.out}")
     return 0
@@ -87,10 +82,15 @@ def cmd_convert_embeddings(args) -> int:
     rows = []
     with open(args.input, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            parts = line.split("\t")
-            if len(parts) < 2:
-                raise SystemExit(f"{args.input}: line {lineno}: expected id and values")
-            rows.append([float(x) for x in parts[1:]])
+            where, cells = f"{args.input}: line {lineno}", line.split("\t")[1:]
+            if not cells:
+                raise SystemExit(f"{where}: expected id and values")
+            if rows and len(cells) != len(rows[0]):
+                raise SystemExit(f"{where}: {len(cells)} values, the first row has {len(rows[0])}")
+            try:
+                rows.append([float(x) for x in cells])
+            except ValueError as e:
+                raise SystemExit(f"{where}: {e}") from None
     save_embeddings(EmbeddingMatrix(np.array(rows, dtype=np.float32)), args.out)
     print(f"converted {len(rows)} rows -> {args.out}")
     return 0
@@ -157,10 +157,7 @@ def cmd_evaluate(args) -> int:
                              mrr_k=args.mrr_k, recall_k=args.recall_k,
                              rel_threshold=args.rel_threshold)
         name = f"ndcg@{args.ndcg_k}"
-        qids = sorted(report.per_query[name])
-        a = [report.per_query[name][q] for q in qids]
-        b = [other.per_query[name][q] for q in qids]
-        res = paired_t_test(a, b)
+        res = paired_t_test(*paired_values(report.per_query[name], other.per_query[name]))
         (adj,) = bonferroni([res.p], max(1, args.bonferroni_m))
         print(f"paired t-test on {name}: t={res.t:.4f} p={res.p:.3e} "
               f"bonferroni(m={max(1, args.bonferroni_m)})={adj:.3e}")

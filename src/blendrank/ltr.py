@@ -24,8 +24,10 @@ import numpy as np
 
 from .corpus import Corpus, Qrels, QuerySet
 from .features import FeatureExtractor, FeatureMask
-from .ivf import Ranking
+from .ivf import Ranking, rank_order
 from .metrics import gains, ideal_dcg, ndcg_at_k, rank_discount
+from .scorer import (TREE_ARRAYS, compile_ensemble, compile_trees, exit_leaves, forest_fault,
+                     score_batch)
 
 EPS = 1e-9
 LEAF_CLAMP = 100.0
@@ -167,20 +169,12 @@ def build_training_set(queries: QuerySet, qrels: Qrels,
     return LtrDataset(groups)
 
 
-def _score_order(scores: np.ndarray, tie_ids: np.ndarray | None) -> np.ndarray:
-    """Document indices under (score desc, tie id asc, index asc)."""
-    n = scores.shape[0]
-    if tie_ids is None:
-        tie_ids = np.arange(n)
-    return np.lexsort((np.arange(n), tie_ids, -scores))
-
-
 def ndcg_from_scores(scores: np.ndarray, labels: np.ndarray, k: int,
                      tie_ids: np.ndarray | None = None) -> float:
     """Truncated nDCG of the ordering induced by scores; 0 when no document
     has a positive gain."""
-    labels = np.asarray(labels)
-    order = _score_order(np.asarray(scores, dtype=np.float64), tie_ids)
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    order = rank_order(-scores, np.arange(scores.shape[0]) if tie_ids is None else tie_ids)
     return ndcg_at_k(labels[order], labels, k)
 
 
@@ -210,7 +204,7 @@ def compute_lambdas(scores: np.ndarray, labels: np.ndarray, sigma: float = 1.0,
     scores_c = scores[canon]
     labels_c = labels[canon]
     ranks = np.empty(n, dtype=np.int64)
-    ranks[_score_order(scores_c, np.asarray(tie_ids)[canon])] = np.arange(1, n + 1)
+    ranks[rank_order(-scores_c, np.asarray(tie_ids)[canon])] = np.arange(1, n + 1)
     g = gains(labels_c)
     disc = np.where(ranks <= truncation, 1.0 / rank_discount(ranks), 0.0)
     delta = np.abs(g[:, None] - g[None, :]) * np.abs(disc[:, None] - disc[None, :]) / idcg
@@ -249,17 +243,9 @@ class RegressionTree:
         return int(np.sum(self.feature < 0))
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.flatnonzero(active)
-            vals = X[rows, feat[rows]]
-            go_left = vals <= self.threshold[node[rows]]
-            node[rows] = np.where(go_left, self.left[node[rows]], self.right[node[rows]])
-        return self.value[node]
+        """Each row's exit-leaf value; ValueError if `forest_fault` rejects the tree."""
+        compiled = compile_trees([self], 1.0, X.shape[1])
+        return compiled.value.take(exit_leaves(compiled, X)[:, 0])
 
 
 MAX_BINS = 256
@@ -492,10 +478,8 @@ class Ensemble:
         return len(self.trees)
 
     def score_batch(self, X: np.ndarray) -> np.ndarray:
-        scores = np.zeros(X.shape[0], dtype=np.float64)
-        for t in self.trees:
-            scores += self.learning_rate * t.predict_batch(X)
-        return scores
+        """Every row's model score, from the compiled forest of the current trees."""
+        return score_batch(compile_ensemble(self), X)
 
 
 def _mean_valid_ndcg(scores: np.ndarray, labels: np.ndarray, doc_ids: np.ndarray,
@@ -572,7 +556,7 @@ def train(train_ds: LtrDataset, valid_ds: LtrDataset, params: TrainParams,
 def random_search_tune(train_ds: LtrDataset, valid_ds: LtrDataset, n_trials: int,
                        seed: int, base: TrainParams | None = None,
                        mask: FeatureMask | None = None,
-                       lr_range=(0.01, 0.2), hessian_range=(10.0, 150.0),
+                       hessian_range=(10.0, 150.0),
                        min_data_range=(100, 5000)) -> Ensemble:
     """Uniform random search over learning rate, hessian floor, and leaf
     size; returns the trial with the best validation nDCG, as `train` fits
@@ -585,7 +569,7 @@ def random_search_tune(train_ds: LtrDataset, valid_ds: LtrDataset, n_trials: int
     for _ in range(n_trials):
         cand = replace(
             base,
-            learning_rate=float(rng.uniform(*lr_range)),
+            learning_rate=float(rng.uniform(0.01, 0.2)),
             min_sum_hessian_leaf=float(rng.uniform(*hessian_range)),
             min_data_leaf=int(rng.integers(min_data_range[0], min_data_range[1] + 1)),
         )
@@ -607,8 +591,7 @@ def feature_gains(ensemble: Ensemble) -> dict[int, float]:
     return gains
 
 
-_TREE_ARRAYS = {"feature": "<i8", "threshold": "<f8", "left": "<i8", "right": "<i8",
-                "value": "<f8", "gain": "<f8"}
+_TREE_ARRAYS = dict(zip(TREE_ARRAYS, ("<i8", "<f8", "<i8", "<i8", "<f8", "<f8")))
 
 
 def _pack_trees(trees: list[RegressionTree]) -> dict:
@@ -632,50 +615,6 @@ def _unpack_trees(packed: dict) -> list[RegressionTree]:
                              f"give {bounds[-1]} nodes")
     return [RegressionTree(**{name: a[lo:hi] for name, a in arrays.items()})
             for lo, hi in zip(bounds, bounds[1:])]
-
-
-def forest_fault(trees: list[RegressionTree], feature_count: int) -> tuple[int, str] | None:
-    """The index of the first tree whose arrays are not laid out as the learner
-    lays them out, and why; None when every tree is. Children after their
-    parent, and one parent per node but the root, rule out cycles and
-    unreachable nodes. Every check runs once over the concatenated forest."""
-    reasons = ("node arrays are empty or of unequal lengths",
-               "a leaf (feature -1) must have left = right = -1",
-               f"an internal node needs 0 <= feature < {feature_count}, left > its own index "
-               "and its right child right after the left one, inside the tree",
-               "every node but the root must be the child of exactly one node")
-    n_trees = len(trees)
-    sizes = np.array([t.feature.shape[0] for t in trees], dtype=np.int64)
-    bad = np.zeros((len(reasons), n_trees), dtype=bool)
-    bad[0] = [n == 0 or any(getattr(t, name).shape != (n,) for name in _TREE_ARRAYS)
-              for t, n in zip(trees, sizes)]
-    kept = np.flatnonzero(~bad[0])
-    sizes = sizes[kept]
-    tree_of = np.repeat(kept, sizes)
-    base = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    own = np.arange(tree_of.shape[0]) - base
-    f, left, right = (np.concatenate([np.zeros(0, np.int64)]
-                                     + [getattr(trees[i], name) for i in kept])
-                      for name in ("feature", "left", "right"))
-
-    def trees_with(node_mask: np.ndarray) -> np.ndarray:
-        return np.bincount(tree_of[node_mask], minlength=n_trees) > 0
-
-    leaf = f == -1
-    inner = ~leaf
-    bad[1] = trees_with(leaf & ((left != -1) | (right != -1)))
-    bad[2] = trees_with(inner & ((f < 0) | (f >= feature_count) | (left <= own)
-                                 | (right != left + 1) | (right >= np.repeat(sizes, sizes))))
-    sound = ~bad[:3].any(axis=0)[tree_of]
-    counted = inner & sound
-    children = np.concatenate((left[counted], right[counted])) + np.tile(base[counted], 2)
-    parents = np.bincount(children, minlength=own.shape[0])
-    bad[3] = trees_with(sound & (own != 0) & (parents != 1))
-    faulty = np.flatnonzero(bad.any(axis=0))
-    if faulty.shape[0] == 0:
-        return None
-    first = int(faulty[0])
-    return first, reasons[int(np.argmax(bad[:, first]))]
 
 
 def save_model(ensemble: Ensemble, path) -> None:

@@ -192,15 +192,23 @@ class DiffBuckets:
         return self.pct(self.unchanged + self.improved)
 
 
+def paired_values(a: dict[str, float], b: dict[str, float]) -> tuple[list, list]:
+    """The values of two per-query reports, matched by query id in sorted id
+    order; ValueError naming the query ids that only one of them has."""
+    if a.keys() != b.keys():
+        raise ValueError(f"query sets differ: only in the first {sorted(a.keys() - b.keys())}, "
+                         f"only in the second {sorted(b.keys() - a.keys())}")
+    qids = sorted(a)
+    return [a[q] for q in qids], [b[q] for q in qids]
+
+
 def per_query_diff(a: dict[str, float], b: dict[str, float],
                    threshold: float = 0.03) -> DiffBuckets:
     """Bucket per-query diffs into degraded (< 0), unchanged (= 0),
     improved (> 0), and improved by at least `threshold`."""
-    if set(a) != set(b):
-        raise ValueError("query sets differ between the two reports")
     degraded = unchanged = improved = improved_at_least = 0
-    for qid, va in a.items():
-        diff = va - b[qid]
+    for va, vb in zip(*paired_values(a, b)):
+        diff = va - vb
         if diff < 0:
             degraded += 1
         elif diff == 0:
@@ -243,7 +251,7 @@ def write_run(run: RunList, path) -> None:
 
 def load_run(path) -> RunList:
     run = None
-    per_query_rank: dict[str, int] = {}
+    per_query_docs: dict[str, set[str]] = {}
     per_query_score: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -260,14 +268,16 @@ def load_run(path) -> RunList:
                 raise ValueError(f"{path}: bad rank/score at line {lineno}") from None
             if run is None:
                 run = RunList(tag)
-            expected = per_query_rank.get(qid, 0) + 1
-            if rank != expected:
+            docs = per_query_docs.setdefault(qid, set())
+            if rank != len(docs) + 1:
                 raise ValueError(f"{path}: rank gap for query {qid} at line {lineno}: "
-                                 f"expected {expected}, got {rank}")
+                                 f"expected {len(docs) + 1}, got {rank}")
+            if did in docs:
+                raise ValueError(f"{path}: line {lineno}: query {qid} lists document {did} twice")
             if qid in per_query_score and score > per_query_score[qid]:
                 warnings.warn(f"{path}: non-monotone scores for query {qid} "
                               f"at line {lineno}")
-            per_query_rank[qid] = rank
+            docs.add(did)
             per_query_score[qid] = score
             run.entries.setdefault(qid, []).append((did, score))
     return run if run is not None else RunList()

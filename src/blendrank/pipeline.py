@@ -70,8 +70,11 @@ class PipelineConfig:
         for key, val in values.items():
             if not hasattr(cfg, key):
                 raise ValueError(f"{path}: unknown config key {key!r}")
-            current = getattr(cfg, key)
-            values[key] = type(current)(val) if not isinstance(current, str) else val
+            kind = type(getattr(cfg, key))
+            try:
+                values[key] = kind(val)
+            except ValueError:
+                raise ValueError(f"{path}: {key!r} needs {kind.__name__}, got {val!r}") from None
         values.update(overrides)
         return cls(**values)
 

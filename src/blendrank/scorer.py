@@ -28,11 +28,13 @@ The switch is taken once, from the live count each step computes anyway.
 Neither phase needs the forest's depth: every pair reaches its leaf within
 it, and then no pair is live.
 
-The contract is exact equality with naive traversal (`Ensemble.score_batch`),
-bit for bit. Every phase applies the same predicate, and a leaf is a fixed
-point, so the exit leaves do not depend on where the switch falls.
-`score_batch` then adds learning_rate * weight tree by tree, in tree order,
-which is the same summation order.
+The contract is exact equality with naive traversal, bit for bit. Every
+phase applies the same predicate, and a leaf is a fixed point, so the exit
+leaves do not depend on where the switch falls. `score_batch` then adds
+learning_rate * weight tree by tree, in tree order, which is the same
+summation order. The naive node-by-node walk is the tests' oracle
+(`tests/forest_oracle.py`); in the package this module holds the only tree
+walk, and `ltr` trains and scores through it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ltr import Ensemble, forest_fault
+# The node arrays of a tree (`ltr.RegressionTree`), all of one length.
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "gain")
 
 
 class FeatureThresholds(NamedTuple):
@@ -75,12 +78,55 @@ class CompiledEnsemble:
                 for f in np.unique(feats)}
 
 
-def compile_ensemble(ensemble: Ensemble) -> CompiledEnsemble:
+def forest_fault(trees: list, feature_count: int) -> tuple[int, str] | None:
+    """The index of the first tree whose arrays are not laid out as the learner
+    lays them out, and why; None when every tree is. Children after their
+    parent, and one parent per node but the root, rule out cycles and
+    unreachable nodes. Every check runs once over the concatenated forest."""
+    reasons = ("node arrays are empty or of unequal lengths",
+               "a leaf (feature -1) must have left = right = -1",
+               f"an internal node needs 0 <= feature < {feature_count}, left > its own index "
+               "and its right child right after the left one, inside the tree",
+               "every node but the root must be the child of exactly one node")
+    n_trees = len(trees)
+    sizes = np.array([t.feature.shape[0] for t in trees], dtype=np.int64)
+    bad = np.zeros((len(reasons), n_trees), dtype=bool)
+    bad[0] = [n == 0 or any(getattr(t, name).shape != (n,) for name in TREE_ARRAYS)
+              for t, n in zip(trees, sizes)]
+    kept = np.flatnonzero(~bad[0])
+    sizes = sizes[kept]
+    tree_of = np.repeat(kept, sizes)
+    base = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    own = np.arange(tree_of.shape[0]) - base
+    f, left, right = (np.concatenate([np.zeros(0, np.int64)]
+                                     + [getattr(trees[i], name) for i in kept])
+                      for name in ("feature", "left", "right"))
+
+    def trees_with(node_mask: np.ndarray) -> np.ndarray:
+        return np.bincount(tree_of[node_mask], minlength=n_trees) > 0
+
+    leaf = f == -1
+    inner = ~leaf
+    bad[1] = trees_with(leaf & ((left != -1) | (right != -1)))
+    bad[2] = trees_with(inner & ((f < 0) | (f >= feature_count) | (left <= own)
+                                 | (right != left + 1) | (right >= np.repeat(sizes, sizes))))
+    sound = ~bad[:3].any(axis=0)[tree_of]
+    counted = inner & sound
+    children = np.concatenate((left[counted], right[counted])) + np.tile(base[counted], 2)
+    parents = np.bincount(children, minlength=own.shape[0])
+    bad[3] = trees_with(sound & (own != 0) & (parents != 1))
+    faulty = np.flatnonzero(bad.any(axis=0))
+    if faulty.shape[0] == 0:
+        return None
+    first = int(faulty[0])
+    return first, reasons[int(np.argmax(bad[:, first]))]
+
+
+def compile_trees(trees: list, learning_rate: float, feature_count: int) -> CompiledEnsemble:
     """Concatenate every tree into one flat forest of self-looping NaN leaves;
-    ValueError naming the first tree not laid out as `ltr.forest_fault` requires
+    ValueError naming the first tree not laid out as `forest_fault` requires
     (each right child directly after its left sibling, no cycles)."""
-    trees = ensemble.trees
-    fault = forest_fault(trees, ensemble.feature_count)
+    fault = forest_fault(trees, feature_count)
     if fault:
         raise ValueError(f"tree {fault[0]}: {fault[1]}")
     sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
@@ -95,8 +141,12 @@ def compile_ensemble(ensemble: Ensemble) -> CompiledEnsemble:
     right = np.where(leaf, np.arange(feature.shape[0]), right + np.repeat(roots, sizes))
     threshold = np.where(leaf, np.nan, flat("threshold", np.float64))
     return CompiledEnsemble(np.where(leaf, 0, feature), threshold, right,
-                            flat("value", np.float64), roots,
-                            ensemble.learning_rate, ensemble.feature_count)
+                            flat("value", np.float64), roots, learning_rate, feature_count)
+
+
+def compile_ensemble(ensemble) -> CompiledEnsemble:
+    """The flat forest of an `ltr.Ensemble` (see `compile_trees`)."""
+    return compile_trees(ensemble.trees, ensemble.learning_rate, ensemble.feature_count)
 
 
 def exit_leaves(compiled: CompiledEnsemble, matrix) -> np.ndarray:
@@ -131,11 +181,12 @@ def exit_leaves(compiled: CompiledEnsemble, matrix) -> np.ndarray:
 
 
 def score_batch(compiled: CompiledEnsemble, matrix) -> np.ndarray:
-    """Score every row of a 2-d feature matrix; equals Ensemble.score_batch."""
+    """Score every row of a 2-d feature matrix: learning_rate * exit-leaf value,
+    summed tree by tree in tree order."""
     contributions = compiled.value.take(exit_leaves(compiled, matrix).T)
     contributions *= compiled.learning_rate
     scores = np.zeros(contributions.shape[1], dtype=np.float64)
-    # Tree by tree, as Ensemble.score_batch: np.add.reduce sums one row pairwise.
+    # Tree by tree, as naive traversal sums: np.add.reduce sums one row pairwise.
     for tree_values in contributions:
         scores += tree_values
     return scores

@@ -68,16 +68,15 @@ def _topic_vocabularies(n_topics: int) -> list[list[str]]:
     return vocabs
 
 
-def make_synthetic(n_docs: int, n_queries: int, dim: int, seed: int,
-                   n_topics: int | None = None) -> SyntheticData:
-    """Deterministic synthetic collection with complementary relevance signals."""
+def make_synthetic(n_docs: int, n_queries: int, dim: int, seed: int) -> SyntheticData:
+    """Deterministic synthetic collection with complementary relevance signals,
+    over max(4, round(sqrt(n_docs) / 2)) topics."""
     if n_docs < 100:
         raise ValueError("n_docs must be >= 100")
     if n_queries < 1 or dim < 2:
         raise ValueError("need n_queries >= 1 and dim >= 2")
     rng = np.random.default_rng(seed)
-    if n_topics is None:
-        n_topics = max(4, int(round(np.sqrt(n_docs) / 2.0)))
+    n_topics = max(4, int(round(np.sqrt(n_docs) / 2.0)))
     vocabs = _topic_vocabularies(n_topics)
     vocab_sets = [set(v) for v in vocabs]
     shared_pool = [f"shared{i}" for i in range(60)]

@@ -23,6 +23,7 @@ from blendrank.pipeline import Pipeline, PipelineConfig
 from blendrank.scorer import compile_ensemble, score_batch
 from blendrank.synthetic import make_synthetic
 
+import forest_oracle
 from ivf_oracle import exhaustive_search
 from pipeline_training import train_pipeline, train_variants
 from test_ltr import brute_lambdas
@@ -109,7 +110,7 @@ def test_03_scorer_equivalence():
             ens = Ensemble(trees, 0.1, 25)
             assert all(t.n_leaves == 64 for t in ens.trees)
             comp = compile_ensemble(ens)
-            naive = ens.score_batch(X)
+            naive = forest_oracle.score_batch(ens, X)
             fast = score_batch(comp, X)
             assert np.array_equal(naive, fast), f"ensemble seed {seed}"
 

@@ -17,10 +17,11 @@ from blendrank.features import FeatureExtractor
 from blendrank.ivf import Ranking
 from blendrank.ltr import (MAX_BINS, Ensemble, LtrDataset, LtrGroup, RegressionTree, TrainParams,
                            bin_features, build_training_set, compute_lambdas,
-                           feature_gains, fit_tree, forest_fault, load_model,
+                           feature_gains, fit_tree, load_model,
                            ndcg_from_scores, random_search_tune, save_model,
                            train, write_train_log, EPS, LEAF_CLAMP)
 from blendrank.metrics import ideal_dcg, ndcg_at_k
+from blendrank.scorer import forest_fault
 from forest_oracle import predict_one, score_one
 
 
@@ -796,6 +797,20 @@ class TestTrain:
                                 np.array([2, -1, 1]), np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="^tree 0: an internal node needs"):
             Ensemble([cyclic], 0.1, 2)
+
+    def test_scoring_a_cyclic_tree_raises_instead_of_looping(self):
+        # Both score through the compiled walker, which checks the layout
+        # first: a cyclic tree, alone or appended to a built ensemble, is
+        # named instead of walked forever.
+        cyclic = RegressionTree(np.array([0, -1, 1]), np.zeros(3), np.array([1, -1, 0]),
+                                np.array([2, -1, 1]), np.zeros(3), np.zeros(3))
+        X = np.zeros((4, 2))
+        with pytest.raises(ValueError, match="^tree 0: an internal node needs"):
+            cyclic.predict_batch(X)
+        ens = train(synthetic_dataset(13), synthetic_dataset(14), train_params())
+        ens.trees.append(cyclic)
+        with pytest.raises(ValueError, match=f"^tree {ens.n_trees - 1}: an internal node needs"):
+            ens.score_batch(np.zeros((4, ens.feature_count)))
 
     def test_train_log_csv(self, tmp_path):
         ens = train(synthetic_dataset(15), synthetic_dataset(16), train_params())

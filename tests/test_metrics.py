@@ -1,6 +1,7 @@
 """Metric, significance-test, and run-file tests against brute-force oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -211,8 +212,9 @@ class TestPerQueryDiff:
         assert d.degraded + d.unchanged + d.improved == d.n_queries
 
     def test_query_set_mismatch(self):
-        with pytest.raises(ValueError):
-            per_query_diff({"q1": 0.1}, {"q2": 0.1})
+        with pytest.raises(ValueError, match=re.escape(
+                "only in the first ['q1', 'q3'], only in the second ['q2']")):
+            per_query_diff({"q1": 0.1, "q3": 0.2, "q4": 0.3}, {"q2": 0.1, "q4": 0.3})
 
 
 class TestRunFiles:
@@ -232,7 +234,7 @@ class TestRunFiles:
     @given(ranked=st.dictionaries(
         st.text("qQ0123456789_-", min_size=1, max_size=6),
         st.lists(st.tuples(st.text("dD0123456789.:", min_size=1, max_size=8),
-                           st.floats(allow_nan=False)), max_size=6)))
+                           st.floats(allow_nan=False)), max_size=6, unique_by=lambda e: e[0])))
     def test_save_load_save_gives_the_same_bytes(self, tmp_path_factory, ranked):
         run = RunList("blendrank.np8.c100.full")
         for qid, entries in ranked.items():
@@ -246,6 +248,15 @@ class TestRunFiles:
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d1 1 2.0 tag\nq1 Q0 d2 3 1.0 tag\n")
         with pytest.raises(ValueError, match="rank gap"):
+            load_run(path)
+
+    def test_duplicate_document_rejected(self, tmp_path):
+        # A document counted twice lifts its query's nDCG above 1 and recall
+        # to 2; another query may list the same document.
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 1 2.0 tag\nq2 Q0 d1 1 2.0 tag\nq1 Q0 d1 2 1.0 tag\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: query q1 "
+                                             "lists document d1 twice$"):
             load_run(path)
 
     def test_malformed_line(self, tmp_path):

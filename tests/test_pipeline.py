@@ -1,5 +1,7 @@
 """Cascade orchestration, synthetic generator, and CLI tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from blendrank.pipeline import (LatencyBreakdown, Pipeline, PipelineConfig,
                                 first_stage_rankings, sweep, sweep_to_csv)
 from blendrank.scorer import score_batch
 from blendrank.synthetic import make_synthetic
+import forest_oracle
 from ivf_oracle import exhaustive_search
 from pipeline_training import train_pipeline
 
@@ -97,7 +100,7 @@ def test_bm25_vs_cosine_top10_disagreement():
 
 class TestEdgeQueries:
     """Edge inputs sent through run_query, each checked against the cascade
-    rebuilt from its parts with the per-tree scorer."""
+    rebuilt from its parts with the naive forest walk."""
 
     @staticmethod
     def expected(pipe, qid, text):
@@ -106,7 +109,7 @@ class TestEdgeQueries:
         first = search(pipe.ivf_index, q, cfg.k_first, cfg.nprobe).ids
         head = first[:cfg.rerank_cutoff]
         feats = pipe.extractor.feature_matrix(pipe.extractor.tokenize_query(text), q, head)
-        scores = pipe.model.score_batch(feats[:, pipe.mask.included])
+        scores = forest_oracle.score_batch(pipe.model, feats[:, pipe.mask.included])
         ids = np.concatenate([head[np.lexsort((head, -scores))], first[len(head):]])
         ids = ids[:cfg.k_final]
         return ([(pipe.corpus.doc_ids[i], float(len(ids) - r)) for r, i in enumerate(ids)],
@@ -231,6 +234,13 @@ class TestConfig:
         assert cfg.nprobe == 4 and cfg.k_first == 50
         assert cfg.model == "m.json"
         assert cfg.rerank_cutoff == 10
+
+    def test_value_of_the_wrong_type_names_file_and_key(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("k_first = 50\nnprobe = abc\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: 'nprobe' needs int, "
+                                             "got 'abc'$"):
+            PipelineConfig.from_file(p)
 
     def test_unknown_key_rejected(self, tmp_path):
         # The IVF metric is fixed when the index is built, the mask comes from
@@ -676,3 +686,39 @@ class TestCli:
         assert rc == 0
         m = load_embeddings(tmp_path / "r.crem", 2)
         np.testing.assert_array_equal(m.rows, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_encode_toy_names_file_and_line(self, tmp_path):
+        src, out = tmp_path / "texts.tsv", str(tmp_path / "t.crem")
+        src.write_text("a\thello\n\nno tab here\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(src))}: malformed line 3: "):
+            cli_main(["encode-toy", "--input", str(src), "--out", out, "--dim", "8"])
+        src.write_text("a\thello\nb\tbye\na\tagain\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(src))}: duplicate query_id "
+                                             "'a' at line 3$"):
+            cli_main(["encode-toy", "--input", str(src), "--out", out, "--dim", "8"])
+
+    def test_convert_names_file_and_line_of_a_non_number(self, tmp_path):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("x\t1.0\t2.0\ny\t3.0\tx\n")
+        with pytest.raises(SystemExit, match="^" + re.escape(
+                f"{raw}: line 2: could not convert string to float: 'x\\n'") + "$"):
+            cli_main(["convert-embeddings", "--input", str(raw), "--out",
+                      str(tmp_path / "r.crem")])
+
+    def test_convert_names_file_and_line_of_a_ragged_row(self, tmp_path):
+        raw = tmp_path / "raw.tsv"
+        raw.write_text("x\t1.0\t2.0\ny\t3.0\t4.0\nz\t5.0\n")
+        with pytest.raises(SystemExit, match=f"^{re.escape(str(raw))}: line 3: 1 values, the "
+                                             "first row has 2$"):
+            cli_main(["convert-embeddings", "--input", str(raw), "--out",
+                      str(tmp_path / "r.crem")])
+
+    def test_compare_names_the_queries_one_run_lacks(self, tmp_path):
+        qrels, run_a, run_b = (tmp_path / n for n in ("qrels.txt", "a.txt", "b.txt"))
+        qrels.write_text("q1 0 d1 1\nq2 0 d2 1\n")
+        run_a.write_text("q1 Q0 d1 1 2.0 a\nq2 Q0 d2 1 2.0 a\n")
+        run_b.write_text("q1 Q0 d1 1 2.0 b\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "query sets differ: only in the first ['q2'], only in the second []")):
+            cli_main(["evaluate", "--run", str(run_a), "--qrels", str(qrels),
+                      "--compare", str(run_b)])

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from blendrank.ltr import Ensemble, RegressionTree
 from blendrank.scorer import compile_ensemble, exit_leaves, score_batch
+import forest_oracle
 from forest_oracle import score_one
 
 
@@ -114,7 +115,7 @@ def assert_exact(ens: Ensemble, X) -> np.ndarray:
     comp = compile_ensemble(ens)
     leaves, depths = walk(ens, X)
     np.testing.assert_array_equal(exit_leaves(comp, X), leaves)
-    assert np.array_equal(score_batch(comp, X), ens.score_batch(X))
+    assert np.array_equal(score_batch(comp, X), forest_oracle.score_batch(ens, X))
     return depths
 
 
@@ -199,7 +200,8 @@ class TestCompile:
         trees = [random_tree(np.random.default_rng(s), 4, 200) for s in range(3)]
         ens = Ensemble(trees, 0.1, 4)
         X = np.round(np.random.default_rng(2).normal(size=(500, 4)), 2)
-        assert np.array_equal(score_batch(compile_ensemble(ens), X), ens.score_batch(X))
+        assert np.array_equal(score_batch(compile_ensemble(ens), X),
+                              forest_oracle.score_batch(ens, X))
 
 
 class TestEquivalence:
@@ -210,7 +212,7 @@ class TestEquivalence:
         comp = compile_ensemble(ens)
         rng = np.random.default_rng(4)
         X = np.round(rng.normal(size=(1000, 6)), 2)
-        assert np.array_equal(ens.score_batch(X), score_batch(comp, X))
+        assert np.array_equal(forest_oracle.score_batch(ens, X), score_batch(comp, X))
 
     def test_score_one_equals_naive_exactly(self):
         ens = random_ensemble(5, n_trees=10, n_features=4, max_leaves=8)
@@ -255,7 +257,7 @@ class TestEquivalence:
         X = np.round(rng.normal(size=(n_rows, 4)), 1)
         for forest in (ens, negative_zeros):
             got = score_batch(compile_ensemble(forest), X)
-            assert got.tobytes() == forest.score_batch(X).tobytes()
+            assert got.tobytes() == forest_oracle.score_batch(forest, X).tobytes()
 
     def test_zero_rows(self):
         comp = compile_ensemble(random_ensemble(19, 4, 3, 6))
@@ -268,12 +270,13 @@ class TestEquivalence:
         ens = random_ensemble(20, n_trees=10, n_features=4, max_leaves=16)
         X = np.round(np.random.default_rng(21).normal(size=(400, 4)), 1)
         X[np.random.default_rng(22).random(X.shape) < 0.2] = np.nan
-        assert np.array_equal(score_batch(compile_ensemble(ens), X), ens.score_batch(X))
+        assert np.array_equal(score_batch(compile_ensemble(ens), X),
+                              forest_oracle.score_batch(ens, X))
 
 
 class TestTwoPhases:
-    """exit_leaves against a per-tree walk, and score_batch against
-    Ensemble.score_batch, wherever the dense-to-active switch falls."""
+    """exit_leaves against a per-tree walk, and score_batch against the
+    naive batch walk, wherever the dense-to-active switch falls."""
 
     def test_balanced_trees_never_switch(self):
         rng = np.random.default_rng(30)
