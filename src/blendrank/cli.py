@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace as dc_replace
+from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 
@@ -106,24 +107,19 @@ def _query_vectors(queries, path) -> dict:
 
 
 def _load_pipeline(args):
-    """(Pipeline, QuerySet of --queries or None) from flags and --config."""
-    cfg = (PipelineConfig.from_file(args.config) if getattr(args, "config", None)
-           else PipelineConfig())
-    overrides = {key: getattr(args, key)
-                 for key in ("nprobe", "k_first", "rerank_cutoff", "k_final", "seed")
-                 if getattr(args, key, None) is not None}
-    if overrides:
-        cfg = dc_replace(cfg, **overrides)
-    coll = corpus_io.load_collection(args.collection or cfg.collection)
-    inv = corpus_io.load_inverted_index(args.lexical_index or cfg.lexical_index)
-    emb = load_embeddings(args.doc_embeddings or cfg.doc_embeddings, len(coll))
-    ivf_index = ivf_mod.load_ivf(args.dense_index or cfg.dense_index)
-    qfile = getattr(args, "queries", None) or cfg.queries
-    queries = corpus_io.load_queries(qfile) if qfile else None
-    qvecs = {} if queries is None else _query_vectors(
-        queries, getattr(args, "query_embeddings", None) or cfg.query_embeddings)
-    mpath = getattr(args, "model", None) or cfg.model
-    model = load_model(mpath) if mpath else None
+    """(Pipeline, QuerySet of --queries or None). Every flag that names a
+    PipelineConfig field overrides --config before the config is checked."""
+    overrides = {f.name: getattr(args, f.name) for f in fields(PipelineConfig)
+                 if getattr(args, f.name, None) is not None}
+    cfg = (PipelineConfig.from_file(args.config, **overrides) if getattr(args, "config", None)
+           else PipelineConfig(**overrides))
+    coll = corpus_io.load_collection(cfg.collection)
+    inv = corpus_io.load_inverted_index(cfg.lexical_index)
+    emb = load_embeddings(cfg.doc_embeddings, len(coll))
+    ivf_index = ivf_mod.load_ivf(cfg.dense_index)
+    queries = corpus_io.load_queries(cfg.queries) if cfg.queries else None
+    qvecs = {} if queries is None else _query_vectors(queries, cfg.query_embeddings)
+    model = load_model(cfg.model) if cfg.model else None
     return Pipeline(cfg, coll, inv, emb, ivf_index, qvecs, model), queries
 
 
@@ -205,8 +201,6 @@ def cmd_train(args) -> int:
             raise SystemExit("--train-data requires --valid-data")
         full_train, dim = load_dataset(args.train_data)
         full_valid, _ = load_dataset(args.valid_data)
-        if dim is None:
-            raise SystemExit("dataset file carries no registry dimension")
     elif args.train_queries and args.valid_queries and args.qrels:
         full_train, full_valid, dim = _blended_datasets(args)
     else:
@@ -242,21 +236,13 @@ def cmd_gain_report(args) -> int:
     if dim is None:
         raise SystemExit("model carries no registry metadata")
     registry = build_registry(dim)
-    gains = feature_gains(model)
-    included = model.mask_included
-    rows = []
-    for masked_id, total in gains.items():
-        fid = int(included[masked_id]) if included is not None else int(masked_id)
-        rows.append((total, fid, registry.name(fid), registry.family(fid)))
-    rows.sort(key=lambda r: (-r[0], r[1]))
-    top = rows[:args.top]
+    cols = np.arange(model.feature_count) if model.mask_included is None else model.mask_included
+    top = sorted((-total, int(cols[f])) for f, total in feature_gains(model).items())[:args.top]
     print(f"top {len(top)} features by total split gain")
     print(f"{'feature':<24}{'family':<14}{'gain':>12}")
-    for total, _, name, family in top:
-        print(f"{name:<24}{family:<14}{total:>12.4f}")
-    by_family: dict[str, int] = {}
-    for _, _, _, family in top:
-        by_family[family] = by_family.get(family, 0) + 1
+    for neg_total, fid in top:
+        print(f"{registry.name(fid):<24}{registry.family(fid):<14}{-neg_total:>12.4f}")
+    by_family = Counter(registry.family(fid) for _, fid in top)
     print("family breakdown: " + ", ".join(f"{k}={v}" for k, v in sorted(by_family.items())))
     return 0
 

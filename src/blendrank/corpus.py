@@ -2,9 +2,9 @@
 
 The inverted index is the statistics substrate for all lexical features:
 per-term postings with positions, document lengths, and collection-level
-counts (df, cf, total tokens); saved as CRIX2, it loads as views of the
-file's bytes. Relevance judgments are held per query, with one string per
-distinct doc id: about 40 B per judgment.
+counts (df, cf, total tokens, and every term's idf, computed once); saved
+as CRIX2, it loads as views of the file's bytes. Relevance judgments are
+held per query, with one string per distinct doc id: about 40 B per judgment.
 """
 
 from __future__ import annotations
@@ -251,9 +251,11 @@ class InvertedIndex:
             ids[o[i]:o[i + 1]], tfs[o[i]:o[i + 1]], positions[r[o[i]]:r[o[i + 1]]]))
         self.unique_terms = np.zeros(self.n_docs, dtype=np.int64)
         np.add.at(self.unique_terms, ids, 1)
-        # add.at sums each document's squared weights in sorted term order, as the ids
-        # lie, for built and loaded alike; by blocks of terms, so no temporary is as long.
-        idf, sq = np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0), np.zeros(self.n_docs)
+        # Each term's idf, then an unseen term's (df = 0). add.at sums each document's
+        # squared weights in sorted term order, as the ids lie, for built and loaded
+        # alike; by blocks of terms, so no temporary is as long.
+        dfs, sq = np.append(df, 0), np.zeros(self.n_docs)
+        self.idfs = idf = np.log((self.n_docs - dfs + 0.5) / (dfs + 0.5) + 1.0)
         edges = np.searchsorted(o, np.arange(0, o[-1], _BLOCK)).tolist() + [df.shape[0]]
         for a, b in zip(edges, edges[1:]):
             w = np.repeat(idf[a:b], df[a:b]) * tfs[o[a]:o[b]]
@@ -262,8 +264,7 @@ class InvertedIndex:
 
     def idf(self, term: str) -> float:
         """ln((N - df + 0.5) / (df + 0.5) + 1); defined (and large) for unseen terms."""
-        df = self.df.get(term, 0)
-        return float(np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0))
+        return float(self.idfs[self.term_index.get(term, -1)])
 
 
 def build_inverted_index(corpus: Corpus, stem: bool = False) -> InvertedIndex:

@@ -6,9 +6,11 @@ A model variant selects its columns with `make_mask(...).included`.
 
 Each row concatenates, in this fixed order: the dense query vector (D
 values), the dense document vector (D), their elementwise delta q - d (D),
-the cosine similarity between the two, the candidate's rank under cosine
-ordering, and the lexical feature catalog (L = 36 values). Total length is
-3D + 2 + 36.
+the cosine similarity between the two (`ivf.cosine_scores`), the
+candidate's rank under cosine ordering, and the lexical feature catalog
+(L = 36 values). Total length is 3D + 2 + 36. `FeatureRegistry.spans`, one
+slice per family in this order, is the layout's one definition: names,
+families, masks and the columns `feature_matrix` writes derive from it.
 
 The lexical catalog covers term-level statistics aggregated over query
 terms (24); whole-match scores (BM25, Dirichlet language model), counts
@@ -22,12 +24,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .corpus import InvertedIndex, tokenize
 from .embeddings import EmbeddingMatrix
-from .ivf import rank_order
+from .ivf import cosine_scores, rank_order
 
 BM25_K1 = 0.9
 BM25_B = 0.4
@@ -59,6 +63,10 @@ DEFAULT_LEXICAL_NAMES = (
 LEXICAL_COUNT = len(DEFAULT_LEXICAL_NAMES)
 
 
+FAMILIES = ("dense_query", "dense_doc", "dense_delta", "cosine", "rank", "lexical")
+MASK_FAMILIES = {"full": FAMILIES, "lexical": ("rank", "lexical"), "dense": FAMILIES[:-1]}
+
+
 @dataclass(frozen=True)
 class FeatureRegistry:
     """Immutable layout map: feature id equals position in the blended vector."""
@@ -70,41 +78,33 @@ class FeatureRegistry:
     def lexical_count(self) -> int:
         return len(self.lexical_names)
 
+    @cached_property
+    def spans(self) -> dict[str, slice]:
+        """Each family's slice of the vector, in layout order."""
+        sizes = (self.dim, self.dim, self.dim, 1, 1, self.lexical_count)
+        return {fam: slice(end - n, end)
+                for fam, n, end in zip(FAMILIES, sizes, accumulate(sizes))}
+
     @property
     def total(self) -> int:
-        return 3 * self.dim + 2 + self.lexical_count
+        return self.spans["lexical"].stop
 
     @property
     def rank_id(self) -> int:
-        return 3 * self.dim + 1
-
-    def name(self, feature_id: int) -> str:
-        d = self.dim
-        if feature_id < d:
-            return f"dense_query_{feature_id}"
-        if feature_id < 2 * d:
-            return f"dense_doc_{feature_id - d}"
-        if feature_id < 3 * d:
-            return f"dense_delta_{feature_id - 2 * d}"
-        if feature_id == 3 * d:
-            return "cosine"
-        if feature_id == 3 * d + 1:
-            return "rank"
-        return self.lexical_names[feature_id - 3 * d - 2]
+        return self.spans["rank"].start
 
     def family(self, feature_id: int) -> str:
-        d = self.dim
-        if feature_id < d:
-            return "dense_query"
-        if feature_id < 2 * d:
-            return "dense_doc"
-        if feature_id < 3 * d:
-            return "dense_delta"
-        if feature_id == 3 * d:
-            return "cosine"
-        if feature_id == 3 * d + 1:
-            return "rank"
-        return "lexical"
+        for fam, span in self.spans.items():
+            if span.start <= feature_id < span.stop:
+                return fam
+        raise ValueError(f"feature id {feature_id} is outside the {self.total}-feature vector")
+
+    def name(self, feature_id: int) -> str:
+        fam = self.family(feature_id)
+        i = feature_id - self.spans[fam].start
+        if fam == "lexical":
+            return self.lexical_names[i]
+        return fam if fam in ("cosine", "rank") else f"{fam}_{i}"
 
     @property
     def registry_hash(self) -> str:
@@ -129,17 +129,12 @@ class FeatureMask:
 
 
 def make_mask(registry: FeatureRegistry, variant: str) -> FeatureMask:
-    d = registry.dim
-    if variant == "full":
-        ids = np.arange(registry.total)
-    elif variant == "lexical":
-        ids = np.concatenate(([registry.rank_id],
-                              np.arange(3 * d + 2, registry.total)))
-    elif variant == "dense":
-        ids = np.arange(3 * d + 2)
-    else:
+    """The variant's families' spans, in layout order (so the ids rise)."""
+    if variant not in MASK_FAMILIES:
         raise ValueError(f"unknown mask variant {variant!r}")
-    return FeatureMask(variant, np.sort(ids).astype(np.int64), registry.registry_hash)
+    ids = [np.arange(span.start, span.stop, dtype=np.int64)
+           for fam, span in registry.spans.items() if fam in MASK_FAMILIES[variant]]
+    return FeatureMask(variant, np.concatenate(ids), registry.registry_hash)
 
 
 class _QueryContext:
@@ -151,10 +146,7 @@ class _QueryContext:
         self.postings = [index.postings.get(t) for t in self.terms]
         self.idf = [index.idf(t) for t in self.terms]
         self.cf = [index.cf.get(t, 0) for t in self.terms]
-        qtf = {}
-        for t in self.tokens:
-            qtf[t] = qtf.get(t, 0) + 1
-        self.query_weights = [qtf[t] * index.idf(t) for t in self.terms]
+        self.query_weights = [self.tokens.count(t) * w for t, w in zip(self.terms, self.idf)]
         self.query_norm = math.sqrt(sum(w * w for w in self.query_weights))
         self.bigrams = list(zip(self.tokens, self.tokens[1:]))
 
@@ -314,17 +306,10 @@ class FeatureExtractor:
 
     def cosine_ranks(self, q_vec: np.ndarray, doc_ids: np.ndarray):
         """Cosines against q and 1-based ranks under (cosine desc, id asc)."""
-        q = np.asarray(q_vec, dtype=np.float64)
-        rows = self.embeddings.rows[doc_ids]
-        norms = self.embeddings.norms[doc_ids]
-        qn = np.linalg.norm(q)
-        cos = np.zeros(len(doc_ids), dtype=np.float64)
-        if qn > 0:
-            nz = norms > 0
-            cos[nz] = (rows[nz] @ q) / (norms[nz] * qn)
-        order = rank_order(-cos, doc_ids)
+        cos = cosine_scores(np.asarray(q_vec, dtype=np.float64), self.embeddings.rows[doc_ids],
+                            self.embeddings.norms[doc_ids])
         ranks = np.empty(len(doc_ids), dtype=np.int64)
-        ranks[order] = np.arange(1, len(doc_ids) + 1)
+        ranks[rank_order(-cos, doc_ids)] = np.arange(1, len(doc_ids) + 1)
         return cos, ranks
 
     def feature_matrix(self, query_tokens: list[str], q_vec: np.ndarray,
@@ -338,16 +323,12 @@ class FeatureExtractor:
         cos, ranks = self.cosine_ranks(q_vec, doc_ids)
         if needed is None:
             needed = np.arange(len(doc_ids))
-        ctx = _QueryContext(self.index, query_tokens)
-        d = self.registry.dim
         q = np.asarray(q_vec, dtype=np.float64)
-        out = np.empty((len(needed), self.registry.total), dtype=np.float64)
         sel = doc_ids[needed]
         rows = self.embeddings.rows[sel].astype(np.float64)
-        out[:, :d] = q
-        out[:, d:2 * d] = rows
-        out[:, 2 * d:3 * d] = q - rows
-        out[:, 3 * d] = cos[needed]
-        out[:, 3 * d + 1] = ranks[needed].astype(np.float64)
-        out[:, 3 * d + 2:] = _lexical_features_batch(self.index, ctx, sel)
+        lexical = _lexical_features_batch(self.index, _QueryContext(self.index, query_tokens), sel)
+        out = np.empty((len(needed), self.registry.total), dtype=np.float64)
+        for span, part in zip(self.registry.spans.values(), (
+                q, rows, q - rows, cos[needed, None], ranks[needed, None], lexical)):
+            out[:, span] = part
         return out

@@ -12,7 +12,9 @@ and only those are sorted by `rank_order`: an argsort, kept when its keys
 strictly rise (no tie, no NaN), else an exact lexsort. The same selection
 orders the centroids to probe. The probed lists are gathered straight into
 one float64 matrix (an exact cast from float32) and scored with a single
-product; scoring list by list changes score bits.
+product; scoring list by list changes score bits. `cosine_scores` is the
+one cosine, also of the cosine feature; for one document the two can still
+differ in the last bit, since their products have different shapes.
 
 k-means and list assignment take distances one block of rows at a time, with
 the whole-matrix arithmetic. Blocks are near-equal in size: a product over a
@@ -224,21 +226,23 @@ def build_ivf(vectors: EmbeddingMatrix, centroids: Centroids, metric: str = "dot
                     vectors.rows[order], metric)
 
 
-def _metric_scores(q: np.ndarray, matrix: np.ndarray, norms: np.ndarray | None,
-                   metric: str) -> np.ndarray:
-    """Similarity of q against rows of matrix; zero-norm rows score 0 under
-    cosine. The row norms are read only under cosine."""
-    scores = matrix @ q
-    if metric == "cosine":
-        qn = np.linalg.norm(q)
-        if qn == 0.0:
-            return np.zeros(matrix.shape[0], dtype=np.float64)
+def cosine_scores(q: np.ndarray, rows: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Cosine of q against each row, given the rows' norms: the one cosine of
+    first stage and features. A zero row or a zero query scores 0."""
+    scores, qn = rows @ q, np.linalg.norm(q)
+    out = np.zeros(rows.shape[0], dtype=np.float64)
+    if qn > 0.0:
         denom = norms * qn
-        out = np.zeros(matrix.shape[0], dtype=np.float64)
         nz = denom > 0.0
         out[nz] = scores[nz] / denom[nz]
-        return out
-    return scores.astype(np.float64, copy=False)
+    return out
+
+
+def _metric_scores(q: np.ndarray, matrix: np.ndarray, norms: np.ndarray | None,
+                   metric: str) -> np.ndarray:
+    """Similarity of q against rows of matrix; the norms are read only under cosine."""
+    return (cosine_scores(q, matrix, norms) if metric == "cosine"
+            else (matrix @ q).astype(np.float64, copy=False))
 
 
 def rank_order(neg: np.ndarray, ids: np.ndarray) -> np.ndarray:

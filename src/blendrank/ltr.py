@@ -472,6 +472,11 @@ class Ensemble:
         fault = forest_fault(self.trees, self.feature_count)
         if fault:
             raise ValueError(f"tree {fault[0]}: {fault[1]}")
+        cols = self.mask_included
+        if cols is not None and not (cols.shape == (self.feature_count,) and (cols[:1] >= 0).all()
+                                     and (cols[1:] > cols[:-1]).all()):
+            raise ValueError(f"mask_included must be {self.feature_count} strictly increasing "
+                             "non-negative feature ids, one per feature")
 
     @property
     def n_trees(self) -> int:
@@ -644,6 +649,8 @@ def load_model(path) -> Ensemble:
         raise ValueError(f"{path}: model version {doc.get('version')}; this version reads "
                          f"only version {MODEL_VERSION}: retrain it with `blendrank train`")
     included = doc.get("mask_included")
+    if included is not None and not all(type(i) is int for i in np.ravel(included).tolist()):
+        raise ValueError(f"{path}: mask_included holds a value that is not an integer id")
     try:
         return Ensemble(
             _unpack_trees(doc["trees"]),
@@ -666,26 +673,22 @@ def write_train_log(ensemble: Ensemble, path) -> None:
             f.write(f"{i},{v!r}\n")
 
 
-def save_dataset(dataset: LtrDataset, path, registry_dim: int | None = None) -> None:
-    """Persist a dataset (stacked npz); features are stored unmasked."""
+def save_dataset(dataset: LtrDataset, path, registry_dim: int) -> None:
+    """Persist a dataset (stacked npz, unmasked) and its registry's dimension."""
     X, labels, doc_ids, offsets = dataset.stacked()
     query_ids = np.array([g.query_id for g in dataset.groups])
     np.savez(path, features=X, labels=labels, doc_ids=doc_ids, offsets=offsets,
-             query_ids=query_ids,
-             registry_dim=np.int64(registry_dim if registry_dim is not None else -1))
+             query_ids=query_ids, registry_dim=np.int64(registry_dim))
 
 
-def load_dataset(path) -> tuple[LtrDataset, int | None]:
+def load_dataset(path) -> tuple[LtrDataset, int]:
     """Load a dataset written by save_dataset; returns (dataset, registry_dim)."""
     with np.load(path, allow_pickle=False) as z:
-        X = z["features"]
-        labels = z["labels"]
-        doc_ids = z["doc_ids"]
-        offsets = z["offsets"]
-        query_ids = z["query_ids"]
+        X, labels, doc_ids, offsets, query_ids = (
+            z[k] for k in ("features", "labels", "doc_ids", "offsets", "query_ids"))
         registry_dim = int(z["registry_dim"])
-    groups = []
-    for g in range(offsets.shape[0] - 1):
-        a, b = offsets[g], offsets[g + 1]
-        groups.append(LtrGroup(str(query_ids[g]), X[a:b], labels[a:b], doc_ids[a:b]))
-    return LtrDataset(groups), (registry_dim if registry_dim >= 0 else None)
+    if registry_dim < 1:
+        raise ValueError(f"{path}: registry dimension {registry_dim}; it must be at least 1")
+    bounds = offsets.tolist()
+    return LtrDataset([LtrGroup(str(qid), X[a:b], labels[a:b], doc_ids[a:b]) for qid, a, b
+                       in zip(query_ids, bounds[:-1], bounds[1:], strict=True)]), registry_dim

@@ -243,6 +243,17 @@ class RunList:
 
 
 def write_run(run: RunList, path) -> None:
+    """Write a TREC run file; a run load_run would reject (a repeated document, an id or
+    tag empty or holding whitespace) raises ValueError before the file is opened."""
+    for qid, ranked in run.entries.items():
+        seen = set()
+        for did, _ in ranked:
+            if did in seen:
+                raise ValueError(f"query {qid!r} lists document {did!r} twice")
+            if any(s.split() != [s] for s in (qid, did, run.tag)):
+                raise ValueError(f"query {qid!r}, document {did!r}, tag {run.tag!r}: "
+                                 "an id or the tag is empty or holds whitespace")
+            seen.add(did)
     with open(path, "w", encoding="utf-8") as f:
         for qid, ranked in run.entries.items():
             for rank, (did, score) in enumerate(ranked, start=1):

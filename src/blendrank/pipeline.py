@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import Corpus, InvertedIndex, Qrels, QuerySet
 from .embeddings import EmbeddingMatrix, toy_encode
-from .features import FeatureExtractor, FeatureRegistry, make_mask
+from .features import FeatureExtractor, FeatureMask, FeatureRegistry, make_mask
 from .ivf import IvfIndex, Ranking, rank_order, search
 from .ltr import (Ensemble, LtrDataset, TrainParams,
                   build_training_set, random_search_tune, train)
@@ -122,12 +122,17 @@ class Pipeline:
         self.extractor = FeatureExtractor(inverted_index, doc_embeddings)
         self.model = model
         self.compiled: CompiledEnsemble | None = None
-        self.mask = None
+        self.mask: FeatureMask | None = None
         if model is not None:
-            self.compiled = compile_ensemble(model)
-            self.mask = make_mask(self.extractor.registry, model.mask_variant)
-            if model.registry_hash and model.registry_hash != self.extractor.registry.registry_hash:
+            reg = self.extractor.registry
+            if model.registry_hash and model.registry_hash != reg.registry_hash:
                 raise ValueError("model was trained against a different feature registry")
+            cols = np.arange(reg.total) if model.mask_included is None else model.mask_included
+            if cols.shape[0] != model.feature_count or (cols >= reg.total).any():
+                raise ValueError(f"the model's {model.feature_count} feature columns do not "
+                                 f"fit the {reg.total}-feature registry")
+            self.compiled = compile_ensemble(model)
+            self.mask = FeatureMask(model.mask_variant, cols, reg.registry_hash)
 
     def with_overrides(self, **kwargs) -> "Pipeline":
         clone = Pipeline.__new__(Pipeline)

@@ -119,6 +119,18 @@ class TestInvertedIndex:
         assert positions(idx, "b", 0).tolist() == [1]
         assert positions(idx, "a", 1).tolist() == []
 
+    def test_idf_equals_the_scalar_formula_bit_for_bit(self, tmp_path):
+        """The one idf array gives each term, and an unseen term, the scalar
+        formula's bits, built and loaded alike."""
+        built = build_inverted_index(make_synthetic(400, 5, 4, seed=9).corpus)
+        save_inverted_index(built, tmp_path / "i.crix")
+        for idx in (built, load_inverted_index(tmp_path / "i.crix")):
+            n = idx.n_docs
+            for term, df in [*idx.df.items(), ("never-indexed", 0)]:
+                want = np.log((n - df + 0.5) / (df + 0.5) + 1.0)
+                assert idx.idf(term).hex() == float(want).hex(), (term, df)
+            assert idx.idfs.shape == (len(idx.terms) + 1,)
+
     def test_single_empty_doc(self):
         idx = build_inverted_index(Corpus(["d0"], [""]))
         assert idx.doc_len.tolist() == [0]

@@ -326,3 +326,96 @@ class TestCandidateFeatures:
         part = ex.feature_matrix(["a"], np.ones(3), ids, needed=np.array([2, 0]))
         np.testing.assert_array_equal(part[0], full[2])
         np.testing.assert_array_equal(part[1], full[0])
+
+
+def chain_name(reg, feature_id):
+    """The registry's feature name as an if-chain over 3D + 2 (the layout's oracle)."""
+    d = reg.dim
+    if feature_id < d:
+        return f"dense_query_{feature_id}"
+    if feature_id < 2 * d:
+        return f"dense_doc_{feature_id - d}"
+    if feature_id < 3 * d:
+        return f"dense_delta_{feature_id - 2 * d}"
+    if feature_id == 3 * d:
+        return "cosine"
+    if feature_id == 3 * d + 1:
+        return "rank"
+    return reg.lexical_names[feature_id - 3 * d - 2]
+
+
+def chain_family(reg, feature_id):
+    d = reg.dim
+    if feature_id < d:
+        return "dense_query"
+    if feature_id < 2 * d:
+        return "dense_doc"
+    if feature_id < 3 * d:
+        return "dense_delta"
+    if feature_id == 3 * d:
+        return "cosine"
+    if feature_id == 3 * d + 1:
+        return "rank"
+    return "lexical"
+
+
+LAYOUTS = [build_registry(d) for d in range(1, 9)] + [
+    FeatureRegistry(768, tuple(f"lex_{i:03d}" for i in range(253)))]
+
+
+class TestLayoutTable:
+    """The spans table is the one definition of the layout; the if-chain above is its oracle."""
+
+    @pytest.mark.parametrize("reg", LAYOUTS, ids=lambda r: f"d{r.dim}")
+    def test_names_and_families_equal_the_chain(self, reg):
+        assert reg.total == 3 * reg.dim + 2 + reg.lexical_count
+        assert reg.rank_id == 3 * reg.dim + 1
+        for fid in range(reg.total):
+            assert reg.name(fid) == chain_name(reg, fid), fid
+            assert reg.family(fid) == chain_family(reg, fid), fid
+
+    @pytest.mark.parametrize("reg", LAYOUTS, ids=lambda r: f"d{r.dim}")
+    def test_spans_tile_the_vector_in_order(self, reg):
+        spans = list(reg.spans.values())
+        assert spans[0].start == 0 and spans[-1].stop == reg.total
+        assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("reg", LAYOUTS, ids=lambda r: f"d{r.dim}")
+    @pytest.mark.parametrize("past_end", [None, 0, 1], ids=["minus_one", "total", "total_plus_one"])
+    def test_id_outside_the_vector_is_rejected(self, reg, past_end):
+        fid = -1 if past_end is None else reg.total + past_end
+        with pytest.raises(ValueError, match=f"feature id {fid} is outside"):
+            reg.name(fid)
+        with pytest.raises(ValueError, match=f"feature id {fid} is outside"):
+            reg.family(fid)
+
+    @pytest.mark.parametrize("reg", LAYOUTS, ids=lambda r: f"d{r.dim}")
+    @pytest.mark.parametrize("variant", ["full", "lexical", "dense"])
+    def test_mask_is_the_union_of_its_families(self, reg, variant):
+        dense = {"dense_query", "dense_doc", "dense_delta", "cosine", "rank"}
+        families = {"full": dense | {"lexical"}, "lexical": {"rank", "lexical"},
+                    "dense": dense}[variant]
+        mask = make_mask(reg, variant)
+        assert mask.included.dtype == np.int64
+        assert mask.included.tolist() == [fid for fid in range(reg.total)
+                                          if chain_family(reg, fid) in families]
+
+    def test_each_span_of_feature_matrix_is_its_part(self):
+        data = make_synthetic(200, 6, 5, seed=4)
+        ex = FeatureExtractor(build_inverted_index(data.corpus), data.doc_embeddings)
+        sp = ex.registry.spans
+        rng = np.random.default_rng(0)
+        for i, text in enumerate(data.queries.texts):
+            q = data.query_embeddings.rows[i].astype(np.float64)
+            ids = rng.permutation(200)[:60]
+            needed = rng.permutation(60)[:25]
+            tokens = ex.tokenize_query(text)
+            m = ex.feature_matrix(tokens, q, ids, needed)
+            rows = data.doc_embeddings.rows[ids[needed]].astype(np.float64)
+            cos, ranks = ex.cosine_ranks(q, ids)
+            for fam, part in (("dense_query", np.broadcast_to(q, rows.shape)),
+                              ("dense_doc", rows), ("dense_delta", q - rows),
+                              ("cosine", cos[needed, None]), ("rank", ranks[needed, None]),
+                              ("lexical", _lexical_features_batch(
+                                  ex.index, _QueryContext(ex.index, tokens), ids[needed]))):
+                np.testing.assert_array_equal(m[:, sp[fam]], part, err_msg=fam)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blendrank.embeddings import EmbeddingMatrix
-from blendrank.ivf import (METRICS, Centroids, _metric_scores, _top_k, build_ivf,
+from blendrank.ivf import (METRICS, Centroids, _metric_scores, _top_k, build_ivf, cosine_scores,
                            load_ivf, rank_order, save_ivf, search, train_kmeans)
 from blendrank.synthetic import make_synthetic
 from ivf_oracle import exhaustive_search
@@ -139,6 +139,34 @@ class TestBuild:
         m = random_matrix(10, 4, 0)
         with pytest.raises(ValueError, match="mismatch"):
             build_ivf(m, Centroids(np.zeros((2, 5))))
+
+
+class TestCosineScores:
+    """ivf.cosine_scores is the one cosine: first-stage search and the cosine feature."""
+
+    def test_equals_the_quotient_and_zero_rows_score_zero(self):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(40, 6)).astype(np.float32)
+        rows[[4, 17]] = 0.0
+        norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+        q = rng.normal(size=6)
+        got = cosine_scores(q, rows, norms)
+        # One product over the whole matrix: a product of another shape (one
+        # row at a time) may differ in the last bit.
+        dots = rows @ q
+        for i in range(40):
+            want = 0.0 if i in (4, 17) else dots[i] / (norms[i] * np.linalg.norm(q))
+            assert got[i] == want, i
+        np.testing.assert_array_equal(_metric_scores(q, rows, norms, "cosine"), got)
+
+    def test_zero_query_scores_zero(self):
+        rows = np.ones((3, 4), dtype=np.float32)
+        got = cosine_scores(np.zeros(4), rows, np.linalg.norm(rows, axis=1))
+        assert got.dtype == np.float64 and got.tolist() == [0.0, 0.0, 0.0]
+
+    def test_dot_metric_does_not_read_norms(self):
+        rows = np.arange(6, dtype=np.float64).reshape(3, 2)
+        np.testing.assert_array_equal(_metric_scores(np.ones(2), rows, None, "dot"), [1, 5, 9])
 
 
 class TestSearch:

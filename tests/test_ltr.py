@@ -708,7 +708,7 @@ class TestTrain:
     def test_save_load_save_gives_the_same_bytes(self, tmp_path):
         ens = train(synthetic_dataset(13), synthetic_dataset(14), train_params())
         masked = Ensemble(ens.trees, 0.1 + 0.2, 5, "lexical", "a1b2c3",
-                          np.array([0, 2, 3], dtype=np.int64),
+                          np.array([0, 2, 3, 7, 40], dtype=np.int64),
                           {**ens.metadata, "note": "déjà", "tiny": 5e-324})
         for model in (ens, masked):
             save_model(model, tmp_path / "a.json")
@@ -790,6 +790,29 @@ class TestTrain:
         assert index == 1 and reason.startswith("an internal node needs")
         assert forest_fault([leaf_with_child, cyclic], 2) == (
             0, "a leaf (feature -1) must have left = right = -1")
+
+    @pytest.mark.parametrize("ids", [[0, 2, 3], [0, 2, 3, 7, 40, 41], [0, 2, 2, 7, 40],
+                                     [0, 7, 2, 8, 40], [-1, 2, 3, 7, 40], [[0, 2, 3, 7, 40]]],
+                             ids=["too_few", "too_many", "repeated", "unsorted", "negative",
+                                  "two_dimensional"])
+    def test_recorded_columns_must_rise_one_per_feature(self, ids):
+        with pytest.raises(ValueError, match="^mask_included must be 5 strictly increasing "):
+            Ensemble([], 0.1, 5, "lexical", "", np.array(ids, dtype=np.int64))
+
+    @pytest.mark.parametrize("ids, message", [
+        ([0, 2, 3, 7, 29], "mask_included must be 37 strictly increasing"),
+        ([x + 0.5 for x in range(37)], "mask_included holds a value that is not an integer id"),
+        ([str(x) for x in range(37)], "mask_included holds a value that is not an integer id")],
+        ids=["too_few", "fractional", "text"])
+    def test_bad_recorded_columns_rejected_at_load(self, tmp_path, ids, message):
+        import json
+        path = tmp_path / "model.json"
+        save_model(Ensemble([], 0.1, 37, "lexical", "", np.arange(37, dtype=np.int64)), path)
+        doc = json.loads(path.read_text())
+        doc["mask_included"] = ids
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
 
     def test_ensemble_rejects_a_cyclic_tree(self):
         # Built in memory and scored naively, this tree never reached a leaf.

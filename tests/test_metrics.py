@@ -244,6 +244,47 @@ class TestRunFiles:
         write_run(load_run(tmp / "a.txt"), tmp / "b.txt")
         assert (tmp / "a.txt").read_bytes() == (tmp / "b.txt").read_bytes()
 
+    @pytest.mark.parametrize("qid, did, tag", [
+        ("q1", "d 1", "t"), ("q1", "", "t"), ("q\t1", "d1", "t"), ("", "d1", "t"),
+        ("q1", "d1\u2003", "t"), ("q0", "d0", "my run"), ("q0", "d0", "")],
+        ids=["space_in_doc", "empty_doc", "tab_in_query", "empty_query", "unicode_space_in_doc",
+             "space_in_tag", "empty_tag"])
+    def test_blank_or_spaced_field_rejected_before_the_file_is_opened(self, tmp_path, qid, did,
+                                                                      tag):
+        run = RunList(tag)
+        run.add("q0", [("d0", 1.0)])
+        run.add(qid, [(did, 2.0)])
+        path = tmp_path / "run.txt"
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"query {qid!r}, document {did!r}, tag {tag!r}: an id or the tag is empty")):
+            write_run(run, path)
+        assert not path.exists()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(tag=st.text(max_size=3), ranked=st.dictionaries(
+        st.text(max_size=3), st.lists(st.tuples(st.text(max_size=3), st.floats(allow_nan=False)),
+                                      min_size=1, max_size=4), min_size=1, max_size=3))
+    def test_every_run_written_loads_back(self, tmp_path_factory, tag, ranked):
+        run = RunList(tag)
+        for qid, entries in ranked.items():
+            run.add(qid, sorted(entries, key=lambda e: -e[1]))
+        path = tmp_path_factory.mktemp("run") / "run.txt"
+        try:
+            write_run(run, path)
+        except ValueError:
+            assert not path.exists()
+            return
+        assert load_run(path) == run
+
+    def test_repeated_document_rejected_before_the_file_is_opened(self, tmp_path):
+        run = RunList("t")
+        run.add("q0", [("d1", 1.0)])
+        run.add("q1", [("d1", 2.0), ("d2", 1.0), ("d1", 0.5)])
+        path = tmp_path / "run.txt"
+        with pytest.raises(ValueError, match="^query 'q1' lists document 'd1' twice$"):
+            write_run(run, path)
+        assert not path.exists()
+
     def test_rank_gap_rejected(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d1 1 2.0 tag\nq1 Q0 d2 3 1.0 tag\n")

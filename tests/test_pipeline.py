@@ -482,6 +482,21 @@ class TestDatasetFiles:
             np.testing.assert_array_equal(a.labels, b.labels)
             np.testing.assert_array_equal(a.doc_ids, b.doc_ids)
 
+    def test_registry_dimension_is_required_and_checked_at_load(self, world, tmp_path):
+        from blendrank.ltr import load_dataset, save_dataset
+        from blendrank.pipeline import build_blended_datasets
+        data, pipe = world
+        full_train, _ = build_blended_datasets(pipe, data.queries.subset(range(3)),
+                                               data.queries.subset(range(3, 5)), data.qrels, 4, 3)
+        with pytest.raises(TypeError):
+            save_dataset(full_train, tmp_path / "a.npz")
+        for dim in (-1, 0):
+            path = tmp_path / f"dim{dim}.npz"
+            save_dataset(full_train, path, dim)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: registry dimension {dim}; it must be at least 1")):
+                load_dataset(path)
+
 
 class TestRegistryBinding:
     def test_model_from_another_registry_rejected(self, world, trained, tmp_path):
@@ -498,6 +513,38 @@ class TestRegistryBinding:
         with pytest.raises(ValueError, match="different feature registry"):
             Pipeline(pipe.config, pipe.corpus, pipe.inverted_index, pipe.doc_embeddings,
                      pipe.ivf_index, pipe.query_vectors, load_model(path))
+
+    def reload(self, world, model):
+        _, pipe = world
+        return Pipeline(pipe.config, pipe.corpus, pipe.inverted_index, pipe.doc_embeddings,
+                        pipe.ivf_index, pipe.query_vectors, model)
+
+    def test_recorded_columns_are_served_whatever_the_variant_says(self, world, trained):
+        from dataclasses import replace
+        data, _ = world
+        model = replace(trained.model, mask_variant="dense")
+        pipe = self.reload(world, model)
+        np.testing.assert_array_equal(pipe.mask.included, trained.mask.included)
+        assert pipe.mask.variant == "dense"
+        assert pipe.run_query(*_query(data, 45))[0] == trained.run_query(*_query(data, 45))[0]
+
+    def test_columns_outside_the_registry_rejected_at_init(self, world, trained):
+        from dataclasses import replace
+        reg = world[1].extractor.registry
+        n = trained.model.feature_count
+        shifted = replace(trained.model, mask_included=trained.model.mask_included + 1)
+        unrecorded = replace(trained.model, mask_included=None, feature_count=n + 1)
+        for model, count in ((shifted, n), (unrecorded, n + 1)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"the model's {count} feature columns do not fit the "
+                    f"{reg.total}-feature registry")):
+                self.reload(world, model)
+
+    def test_a_model_without_recorded_columns_reads_every_column(self, world, trained):
+        from dataclasses import replace
+        pipe = self.reload(world, replace(trained.model, mask_included=None))
+        np.testing.assert_array_equal(pipe.mask.included,
+                                      np.arange(world[1].extractor.registry.total))
 
 
 def _single(qid, text):
@@ -667,6 +714,28 @@ class TestCli:
         direct = (tmp_path / "direct.json").read_bytes()
         assert b'"registry_lexical"' in direct
         assert (tmp_path / "from-npz.json").read_bytes() == direct
+
+    def test_flags_override_the_config_file_before_it_is_checked(self, trained_workspace,
+                                                                  tmp_path):
+        """k_first = 200 alone fails the default rerank_cutoff of 1000; the
+        flags make it valid. Every path comes from the file but --queries."""
+        out = trained_workspace
+        config = tmp_path / "cascade.cfg"
+        config.write_text(f"k_first = 200\nnprobe = 17\ncollection = {out}/collection.tsv\n"
+                          f"lexical_index = {out}/index.crix\ndense_index = {out}/index.criv\n"
+                          f"doc_embeddings = {out}/doc_embeddings.crem\n"
+                          f"queries = {tmp_path}/missing.tsv\n"
+                          f"query_embeddings = {out}/qe-test.crem\nmodel = {out}/model.json\n")
+        rc = cli_main(["search", "--config", str(config), "--rerank-cutoff", "100",
+                       "--k-final", "100", "--queries", f"{out}/queries-test.tsv",
+                       "--out", str(tmp_path / "run.txt")])
+        assert rc == 0
+        run = load_run(tmp_path / "run.txt")
+        assert len(run.entries) == 10
+        assert {len(e) for e in run.entries.values()} == {100}
+        assert run.tag == "blendrank.np17.c100.full"
+        with pytest.raises(ValueError, match="rerank_cutoff must not exceed k_first"):
+            cli_main(["search", "--config", str(config), "--out", str(tmp_path / "r2.txt")])
 
     def test_encode_toy_and_convert(self, tmp_path):
         src = tmp_path / "texts.tsv"
