@@ -27,18 +27,31 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _range_of(kind):
+    """argparse type: a `lo,hi` pair of `kind` with lo <= hi."""
+    def parse(text: str) -> tuple:
+        try:
+            lo, hi = (kind(x) for x in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected lo,hi, got {text!r}") from None
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"lo {lo} exceeds hi {hi}")
+        return lo, hi
+    return parse
+
+
 def cmd_make_synthetic(args) -> int:
+    splits = _int_list(args.splits) if args.splits else [args.queries]
+    if len(splits) > 3 or min(splits, default=0) < 0 or sum(splits) > args.queries:
+        raise SystemExit(f"--splits takes at most three non-negative sizes (train,valid,test) "
+                         f"summing to at most --queries {args.queries}, got {args.splits!r}")
     data = make_synthetic(args.docs, args.queries, args.dim, args.seed)
     out = args.out_dir.rstrip("/")
     with open(f"{out}/collection.tsv", "w", encoding="utf-8") as f:
         for did, text in zip(data.corpus.doc_ids, data.corpus.texts):
             f.write(f"{did}\t{text}\n")
-    splits = _int_list(args.splits) if args.splits else [len(data.queries)]
-    if sum(splits) > len(data.queries):
-        raise SystemExit("splits exceed the number of queries")
-    names = ["train", "valid", "test"][:len(splits)]
     start = 0
-    for name, size in zip(names, splits):
+    for name, size in zip(("train", "valid", "test"), splits):
         with open(f"{out}/queries-{name}.tsv", "w", encoding="utf-8") as f:
             for i in range(start, start + size):
                 f.write(f"{data.queries.query_ids[i]}\t{data.queries.texts[i]}\n")
@@ -160,9 +173,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _blended_datasets(args):
-    """(train, valid, registry dimension): unmasked datasets built from the
-    first stage for --train-queries and --valid-queries."""
+def cmd_build_train(args) -> int:
     pipe, _ = _load_pipeline(args)
     train_queries = corpus_io.load_queries(args.train_queries)
     valid_queries = corpus_io.load_queries(args.valid_queries)
@@ -170,14 +181,9 @@ def _blended_datasets(args):
     pipe.query_vectors.update(_query_vectors(train_queries, args.train_query_embeddings))
     pipe.query_vectors.update(_query_vectors(valid_queries, args.valid_query_embeddings))
     full_train, full_valid = build_blended_datasets(
-        pipe, train_queries, valid_queries, qrels, args.n_neg, args.seed or 0)
-    return full_train, full_valid, pipe.extractor.registry.dim
-
-
-def cmd_build_train(args) -> int:
-    full_train, full_valid, dim = _blended_datasets(args)
-    save_dataset(full_train, args.train_out, dim)
-    save_dataset(full_valid, args.valid_out, dim)
+        pipe, train_queries, valid_queries, qrels, args.n_neg, pipe.config.seed)
+    save_dataset(full_train, args.train_out, pipe.extractor.registry.dim)
+    save_dataset(full_valid, args.valid_out, pipe.extractor.registry.dim)
     rows = sum(g.features.shape[0] for g in full_train.groups)
     print(f"wrote {len(full_train.groups)} train groups ({rows} rows) -> {args.train_out}")
     print(f"wrote {len(full_valid.groups)} valid groups -> {args.valid_out}")
@@ -188,27 +194,16 @@ def cmd_train(args) -> int:
     params = TrainParams(
         learning_rate=args.learning_rate, num_leaves=args.num_leaves,
         min_sum_hessian_leaf=args.min_sum_hessian, min_data_leaf=args.min_data_leaf,
-        patience=args.patience, max_trees=args.max_trees, seed=args.seed or 0)
-    tune_kw = {}
-    if args.min_data_range:
-        lo, hi = (int(x) for x in args.min_data_range.split(","))
-        tune_kw["min_data_range"] = (lo, hi)
-    if args.hessian_range:
-        lo, hi = (float(x) for x in args.hessian_range.split(","))
-        tune_kw["hessian_range"] = (lo, hi)
-    if args.train_data:
-        if not args.valid_data:
-            raise SystemExit("--train-data requires --valid-data")
-        full_train, dim = load_dataset(args.train_data)
-        full_valid, _ = load_dataset(args.valid_data)
-    elif args.train_queries and args.valid_queries and args.qrels:
-        full_train, full_valid, dim = _blended_datasets(args)
-    else:
-        raise SystemExit("train requires --train-queries, --valid-queries and "
-                         "--qrels (or --train-data/--valid-data)")
-    ensemble = train_variant(full_train, full_valid, build_registry(dim),
-                             args.mask_variant or "full", params, args.trials,
-                             args.seed or 0, tune_kw or None)
+        patience=args.patience, max_trees=args.max_trees, seed=args.seed)
+    tune_kw = {name: getattr(args, name) for name in ("min_data_range", "hessian_range")
+               if getattr(args, name) is not None}
+    full_train, dim = load_dataset(args.train_data)
+    full_valid, valid_dim = load_dataset(args.valid_data)
+    if valid_dim != dim:
+        raise SystemExit(f"{args.valid_data}: registry dimension {valid_dim}, "
+                         f"but {args.train_data} has {dim}")
+    ensemble = train_variant(full_train, full_valid, build_registry(dim), args.mask_variant,
+                             params, args.trials, args.seed, tune_kw)
     save_model(ensemble, args.out)
     if args.log:
         write_train_log(ensemble, args.log)
@@ -351,20 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid-out", required=True)
     p.set_defaults(func=cmd_build_train)
 
-    p = sub.add_parser("train", help="train a re-ranking model")
-    add_runtime_args(p, with_model=False)
-    p.add_argument("--train-queries", default=None)
-    p.add_argument("--valid-queries", default=None)
-    p.add_argument("--train-query-embeddings", default=None)
-    p.add_argument("--valid-query-embeddings", default=None)
-    p.add_argument("--qrels", default=None)
-    p.add_argument("--train-data", default=None,
-                   help="dataset npz from build-train (skips extraction)")
-    p.add_argument("--valid-data", default=None)
+    p = sub.add_parser("train", help="fit a re-ranking model on build-train datasets")
+    p.add_argument("--train-data", required=True, help="training npz from build-train")
+    p.add_argument("--valid-data", required=True, help="validation npz from build-train")
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
     p.add_argument("--mask-variant", choices=("full", "lexical", "dense"), default="full")
-    p.add_argument("--n-neg", type=int, default=30)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--num-leaves", type=int, default=64)
     p.add_argument("--min-sum-hessian", type=float, default=10.0)
@@ -373,9 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-trees", type=int, default=500)
     p.add_argument("--trials", type=int, default=0,
                    help="random-search trials; 0 trains with the given params")
-    p.add_argument("--min-data-range", default=None,
+    p.add_argument("--min-data-range", type=_range_of(int), default=None,
                    help="lo,hi sample range for min_data_leaf during tuning")
-    p.add_argument("--hessian-range", default=None,
+    p.add_argument("--hessian-range", type=_range_of(float), default=None,
                    help="lo,hi sample range for min_sum_hessian_leaf during tuning")
     p.set_defaults(func=cmd_train)
 

@@ -1,10 +1,10 @@
 """Ranking metrics, TREC run file I/O, and paired significance testing.
 
-nDCG uses exponential gain (2^grade - 1) and a log2(1 + rank) discount by
-default; a linear-gain variant is available. This module is the one
-definition of gain, DCG and nDCG: evaluation and LambdaMART training (its
-lambdas and early stopping) both call it, and a DCG is always summed in
-rank order, so an nDCG depends only on the ranked grade list.
+nDCG uses exponential gain (2^grade - 1) and a log2(1 + rank) discount.
+This module is the one definition of gain, DCG and nDCG: evaluation and
+LambdaMART training (its lambdas and early stopping) both call it, and a
+DCG is always summed in rank order, so an nDCG depends only on the ranked
+grade list.
 
 The Student-t CDF needed for the paired t-test is implemented here via the
 regularized incomplete beta continued fraction, so there is no external
@@ -22,10 +22,9 @@ import numpy as np
 from .corpus import Qrels
 
 
-def gains(grades, exponential: bool = True) -> np.ndarray:
-    """Per-document gain: 2^grade - 1, or the grade itself when linear."""
-    g = np.asarray(grades, dtype=np.float64)
-    return np.power(2.0, g) - 1.0 if exponential else g
+def gains(grades) -> np.ndarray:
+    """Per-document gain: 2^grade - 1."""
+    return np.power(2.0, np.asarray(grades, dtype=np.float64)) - 1.0
 
 
 def rank_discount(ranks) -> np.ndarray:
@@ -33,27 +32,27 @@ def rank_discount(ranks) -> np.ndarray:
     return np.log2(1.0 + np.asarray(ranks, dtype=np.float64))
 
 
-def dcg_at_k(grades, k: int, exponential: bool = True) -> float:
+def dcg_at_k(grades, k: int) -> float:
     """Discounted cumulative gain of a ranked grade list, truncated at k and
     summed in rank order."""
-    g = gains(grades[:k], exponential)
+    g = gains(grades[:k])
     return float(np.sum(g / rank_discount(np.arange(1, g.shape[0] + 1))))
 
 
-def ideal_dcg(grades, k: int, exponential: bool = True) -> float:
+def ideal_dcg(grades, k: int) -> float:
     """DCG@k of the grades sorted best first."""
-    return dcg_at_k(np.sort(np.asarray(grades))[::-1], k, exponential)
+    return dcg_at_k(np.sort(np.asarray(grades))[::-1], k)
 
 
-def ndcg_at_k(ranked_grades, all_grades, k: int, exponential: bool = True) -> float:
+def ndcg_at_k(ranked_grades, all_grades, k: int) -> float:
     """DCG of the ranking over the ideal DCG of all judged grades; 0 when
     the query has no relevant document."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ideal = ideal_dcg(all_grades, k, exponential)
+    ideal = ideal_dcg(all_grades, k)
     if ideal == 0.0:
         return 0.0
-    return dcg_at_k(ranked_grades, k, exponential) / ideal
+    return dcg_at_k(ranked_grades, k) / ideal
 
 
 def mrr_at_k(ranked_grades, k: int, threshold: int = 1) -> float:
@@ -326,8 +325,7 @@ class MetricReport:
 
 
 def evaluate_run(run: RunList, qrels: Qrels, ndcg_k: int = 10, mrr_k: int = 10,
-                 recall_k: int = 1000, rel_threshold: int = 1,
-                 exponential: bool = True) -> MetricReport:
+                 recall_k: int = 1000, rel_threshold: int = 1) -> MetricReport:
     """Score a run against judgments with the standard metric trio."""
     ndcg_name = f"ndcg@{ndcg_k}"
     mrr_name = f"mrr@{mrr_k}"
@@ -339,8 +337,7 @@ def evaluate_run(run: RunList, qrels: Qrels, ndcg_k: int = 10, mrr_k: int = 10,
         ranked_grades = [judged.get(d, 0) for d in ranked_docs]
         all_grades = list(judged.values())
         relevant = {d for d, g in judged.items() if g >= rel_threshold}
-        per_query[ndcg_name][qid] = ndcg_at_k(ranked_grades, all_grades, ndcg_k,
-                                              exponential)
+        per_query[ndcg_name][qid] = ndcg_at_k(ranked_grades, all_grades, ndcg_k)
         per_query[mrr_name][qid] = mrr_at_k(ranked_grades, mrr_k, rel_threshold)
         per_query[recall_name][qid] = recall_at_k(ranked_docs, relevant, recall_k)
     return MetricReport(per_query)

@@ -1,11 +1,13 @@
 """Cascade orchestration, synthetic generator, and CLI tests."""
 
 import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blendrank.cli import main as cli_main
+from blendrank.cli import build_parser, main as cli_main
 from blendrank.corpus import build_inverted_index, load_qrels
 from blendrank.embeddings import EmbeddingMatrix, toy_encode
 from blendrank.features import DEFAULT_LEXICAL_NAMES
@@ -585,22 +587,36 @@ def query_slice(workspace, name, path):
     save_embeddings(EmbeddingMatrix(rows), path)
 
 
+def cascade_flags(out):
+    return ["--collection", f"{out}/collection.tsv", "--lexical-index", f"{out}/index.crix",
+            "--dense-index", f"{out}/index.criv",
+            "--doc-embeddings", f"{out}/doc_embeddings.crem",
+            "--k-first", "150", "--rerank-cutoff", "150", "--k-final", "150"]
+
+
+def train_query_flags(out):
+    return ["--train-queries", f"{out}/queries-train.tsv",
+            "--valid-queries", f"{out}/queries-valid.tsv",
+            "--train-query-embeddings", f"{out}/qe-train.crem",
+            "--valid-query-embeddings", f"{out}/qe-valid.crem",
+            "--qrels", f"{out}/qrels.txt"]
+
+
+def build_train_flags(out):
+    return [*cascade_flags(out), *train_query_flags(out)]
+
+
 @pytest.fixture(scope="module")
 def trained_workspace(workspace):
-    """The workspace plus model.json, trained directly by the CLI."""
+    """The workspace plus train.npz and valid.npz from build-train, and
+    model.json and train.csv fitted on them by train."""
     out = workspace
+    rc = cli_main(["build-train", *build_train_flags(out), "--seed", "3",
+                   "--train-out", f"{out}/train.npz", "--valid-out", f"{out}/valid.npz"])
+    assert rc == 0
     rc = cli_main([
-        "train", "--collection", f"{out}/collection.tsv",
-        "--lexical-index", f"{out}/index.crix",
-        "--dense-index", f"{out}/index.criv",
-        "--doc-embeddings", f"{out}/doc_embeddings.crem",
-        "--train-queries", f"{out}/queries-train.tsv",
-        "--valid-queries", f"{out}/queries-valid.tsv",
-        "--train-query-embeddings", f"{out}/qe-train.crem",
-        "--valid-query-embeddings", f"{out}/qe-valid.crem",
-        "--qrels", f"{out}/qrels.txt", "--out", f"{out}/model.json",
-        "--log", f"{out}/train.csv",
-        "--k-first", "150", "--rerank-cutoff", "150", "--k-final", "150",
+        "train", "--train-data", f"{out}/train.npz", "--valid-data", f"{out}/valid.npz",
+        "--out", f"{out}/model.json", "--log", f"{out}/train.csv",
         "--num-leaves", "8", "--min-sum-hessian", "0", "--min-data-leaf", "5",
         "--patience", "3", "--max-trees", "5", "--seed", "3"])
     assert rc == 0
@@ -648,17 +664,7 @@ class TestCli:
 
     def test_build_train_then_train_from_npz(self, trained_workspace, tmp_path):
         out = trained_workspace
-        common = ["--collection", f"{out}/collection.tsv",
-                  "--lexical-index", f"{out}/index.crix",
-                  "--dense-index", f"{out}/index.criv",
-                  "--doc-embeddings", f"{out}/doc_embeddings.crem",
-                  "--k-first", "150", "--rerank-cutoff", "150", "--k-final", "150"]
-        rc = cli_main(["build-train", *common,
-                       "--train-queries", f"{out}/queries-train.tsv",
-                       "--valid-queries", f"{out}/queries-valid.tsv",
-                       "--train-query-embeddings", f"{out}/qe-train.crem",
-                       "--valid-query-embeddings", f"{out}/qe-valid.crem",
-                       "--qrels", f"{out}/qrels.txt",
+        rc = cli_main(["build-train", *build_train_flags(out),
                        "--train-out", str(tmp_path / "train.npz"),
                        "--valid-out", str(tmp_path / "valid.npz"),
                        "--seed", "3"])
@@ -680,40 +686,128 @@ class TestCli:
                        "--min-data-range", "2,10", "--hessian-range", "0,1",
                        "--seed", "3"])
         assert rc == 0
-        # Same data and params as the direct training path: identical trees.
+        # Same data and params as the workspace's model: identical trees.
         a = (tmp_path / "model-npz.json").read_text()
         b = (out / "model.json").read_text()
         import json
         assert json.loads(a)["trees"] == json.loads(b)["trees"]
 
-    def test_both_train_paths_write_identical_model_files(self, workspace, tmp_path):
+    def test_cli_model_equals_the_in_process_model_byte_for_byte(self, workspace, tmp_path):
+        """build-train then train write the model that build_blended_datasets
+        then train_variant fit in process under the same seeds."""
+        from blendrank.corpus import load_collection, load_inverted_index, load_queries
+        from blendrank.embeddings import load_embeddings
+        from blendrank.ivf import load_ivf
+        from blendrank.ltr import save_model
+        from blendrank.pipeline import build_blended_datasets, train_variant
         out = workspace
-        query_slice(out, "train", tmp_path / "qe-train.crem")
-        query_slice(out, "valid", tmp_path / "qe-valid.crem")
-        common = ["--collection", f"{out}/collection.tsv",
-                  "--lexical-index", f"{out}/index.crix",
-                  "--dense-index", f"{out}/index.criv",
-                  "--doc-embeddings", f"{out}/doc_embeddings.crem",
-                  "--k-first", "150", "--rerank-cutoff", "150", "--k-final", "150",
-                  "--train-queries", f"{out}/queries-train.tsv",
-                  "--valid-queries", f"{out}/queries-valid.tsv",
-                  "--train-query-embeddings", str(tmp_path / "qe-train.crem"),
-                  "--valid-query-embeddings", str(tmp_path / "qe-valid.crem"),
-                  "--qrels", f"{out}/qrels.txt", "--seed", "3"]
-        params = ["--mask-variant", "lexical", "--num-leaves", "8",
-                  "--min-sum-hessian", "0", "--min-data-leaf", "5",
-                  "--patience", "3", "--max-trees", "5", "--seed", "3"]
-        assert cli_main(["train", *common, *params,
-                         "--out", str(tmp_path / "direct.json")]) == 0
-        assert cli_main(["build-train", *common,
+        assert cli_main(["build-train", *build_train_flags(out), "--seed", "3",
                          "--train-out", str(tmp_path / "train.npz"),
                          "--valid-out", str(tmp_path / "valid.npz")]) == 0
         assert cli_main(["train", "--train-data", str(tmp_path / "train.npz"),
-                         "--valid-data", str(tmp_path / "valid.npz"), *params,
-                         "--out", str(tmp_path / "from-npz.json")]) == 0
-        direct = (tmp_path / "direct.json").read_bytes()
-        assert b'"registry_lexical"' in direct
-        assert (tmp_path / "from-npz.json").read_bytes() == direct
+                         "--valid-data", str(tmp_path / "valid.npz"),
+                         "--mask-variant", "lexical", "--num-leaves", "8",
+                         "--min-sum-hessian", "0", "--min-data-leaf", "5",
+                         "--patience", "3", "--max-trees", "5", "--seed", "3",
+                         "--out", str(tmp_path / "cli.json")]) == 0
+        coll = load_collection(f"{out}/collection.tsv")
+        splits = [load_queries(f"{out}/queries-{name}.tsv") for name in ("train", "valid")]
+        qvecs = {qid: row for name, queries in zip(("train", "valid"), splits)
+                 for qid, row in zip(queries.query_ids,
+                                     load_embeddings(f"{out}/qe-{name}.crem").rows)}
+        pipe = Pipeline(PipelineConfig(k_first=150, rerank_cutoff=150, k_final=150, seed=3),
+                        coll, load_inverted_index(f"{out}/index.crix"),
+                        load_embeddings(f"{out}/doc_embeddings.crem", len(coll)),
+                        load_ivf(f"{out}/index.criv"), qvecs)
+        full_train, full_valid = build_blended_datasets(pipe, *splits, load_qrels(
+            f"{out}/qrels.txt"), 30, 3)
+        params = TrainParams(num_leaves=8, min_sum_hessian_leaf=0.0, min_data_leaf=5,
+                             patience=3, max_trees=5, seed=3)
+        save_model(train_variant(full_train, full_valid, pipe.extractor.registry, "lexical",
+                                 params, 0, 3), tmp_path / "in-process.json")
+        in_process = (tmp_path / "in-process.json").read_bytes()
+        assert b'"registry_lexical"' in in_process
+        assert (tmp_path / "cli.json").read_bytes() == in_process
+
+    def test_build_train_reads_the_seed_from_the_config_file(self, workspace, tmp_path):
+        """A config file's seed samples the negatives that --seed does."""
+        out = workspace
+        config = tmp_path / "cascade.cfg"
+        config.write_text(f"seed = 3\nk_first = 150\nrerank_cutoff = 150\nk_final = 150\n"
+                          f"collection = {out}/collection.tsv\nlexical_index = {out}/index.crix\n"
+                          f"dense_index = {out}/index.criv\n"
+                          f"doc_embeddings = {out}/doc_embeddings.crem\n")
+        for name, flags in (("config", ["--config", str(config)]),
+                            ("flag", [*cascade_flags(out), "--seed", "3"])):
+            assert cli_main(["build-train", *flags, *train_query_flags(out),
+                             "--train-out", str(tmp_path / f"{name}-train.npz"),
+                             "--valid-out", str(tmp_path / f"{name}-valid.npz")]) == 0
+        for split in ("train", "valid"):
+            with np.load(tmp_path / f"config-{split}.npz") as a, \
+                    np.load(tmp_path / f"flag-{split}.npz") as b:
+                assert a.files == b.files
+                for key in a.files:
+                    np.testing.assert_array_equal(a[key], b[key], err_msg=f"{split} {key}")
+
+    def test_train_rejects_datasets_of_two_registries(self, tmp_path):
+        """A validation set whose columns follow another registry would be
+        read through the training set's columns; train refuses the pair."""
+        from blendrank.features import build_registry
+        from blendrank.ltr import LtrDataset, LtrGroup, save_dataset
+        rng = np.random.default_rng(0)
+        for name, dim in (("train", 8), ("valid", 16)):
+            group = LtrGroup("q", rng.normal(size=(4, build_registry(dim).total)),
+                             np.array([0, 1, 2, 0]), np.array(["a", "b", "c", "d"]))
+            save_dataset(LtrDataset([group]), tmp_path / f"{name}.npz", dim)
+        with pytest.raises(SystemExit, match="^" + re.escape(
+                f"{tmp_path}/valid.npz: registry dimension 16, but {tmp_path}/train.npz "
+                "has 8") + "$"):
+            cli_main(["train", "--train-data", str(tmp_path / "train.npz"),
+                      "--valid-data", str(tmp_path / "valid.npz"),
+                      "--out", str(tmp_path / "model.json")])
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("splits", ["10,10,10,10", "-5,10,10", "20,20,1"])
+    def test_make_synthetic_rejects_splits_it_cannot_honour(self, splits, tmp_path):
+        with pytest.raises(SystemExit, match="^" + re.escape(
+                "--splits takes at most three non-negative sizes (train,valid,test) summing "
+                f"to at most --queries 40, got {splits!r}") + "$"):
+            cli_main(["make-synthetic", "--out-dir", str(tmp_path), "--docs", "50",
+                      "--queries", "40", "--dim", "4", f"--splits={splits}"])
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--min-data-range", "5", "expected lo,hi, got '5'"),
+        ("--min-data-range", "10,5", "lo 10 exceeds hi 5"),
+        ("--hessian-range", "1,0", "lo 1.0 exceeds hi 0.0"),
+    ], ids=["one-value", "reversed-int", "reversed-float"])
+    def test_tuning_ranges_must_be_ordered_pairs(self, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["train", "--train-data", "t.npz", "--valid-data",
+                                       "v.npz", "--out", "m.json", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}\n" in capsys.readouterr().err
+
+    def test_tuning_ranges_parse_to_typed_pairs(self):
+        args = build_parser().parse_args(["train", "--train-data", "t.npz", "--valid-data",
+                                          "v.npz", "--out", "m.json", "--min-data-range",
+                                          "2,2", "--hessian-range", "0,1.5"])
+        assert args.min_data_range == (2, 2) and args.hessian_range == (0.0, 1.5)
+        assert type(args.min_data_range[0]) is int and type(args.hessian_range[0]) is float
+
+    def test_readme_walkthrough_parses(self):
+        """Every command of README's CLI walkthrough is one the parser takes."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        block = readme.split("## CLI walkthrough", 1)[1].split("```")[1]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.strip()]
+        assert {argv[0] for argv in commands} == {"blendrank"}
+        assert [argv[1] for argv in commands] == [
+            "make-synthetic", "index-lexical", "index-dense", "build-train", "train",
+            "search", "evaluate", "sweep", "gain-report", "diff-report"]
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
 
     def test_flags_override_the_config_file_before_it_is_checked(self, trained_workspace,
                                                                   tmp_path):
