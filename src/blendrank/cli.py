@@ -24,7 +24,17 @@ from .synthetic import make_synthetic
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    """argparse type: a non-empty comma-separated list of integers."""
+    values = []
+    for x in filter(str.strip, text.split(",")):
+        try:
+            values.append(int(x))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{x.strip()!r} is not an integer") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got an empty "
+                                         f"list {text!r}")
+    return values
 
 
 def _range_of(kind):
@@ -41,10 +51,11 @@ def _range_of(kind):
 
 
 def cmd_make_synthetic(args) -> int:
-    splits = _int_list(args.splits) if args.splits else [args.queries]
-    if len(splits) > 3 or min(splits, default=0) < 0 or sum(splits) > args.queries:
+    splits = args.splits or [args.queries]
+    if len(splits) > 3 or min(splits) < 0 or sum(splits) > args.queries:
         raise SystemExit(f"--splits takes at most three non-negative sizes (train,valid,test) "
-                         f"summing to at most --queries {args.queries}, got {args.splits!r}")
+                         f"summing to at most --queries {args.queries}, "
+                         f"got {','.join(map(str, splits))!r}")
     data = make_synthetic(args.docs, args.queries, args.dim, args.seed)
     out = args.out_dir.rstrip("/")
     with open(f"{out}/collection.tsv", "w", encoding="utf-8") as f:
@@ -218,8 +229,8 @@ def cmd_sweep(args) -> int:
     if queries is None:
         raise SystemExit("sweep requires --queries")
     qrels = corpus_io.load_qrels(args.qrels)
-    rows = sweep(pipe, _int_list(args.probes), _int_list(args.cutoffs), queries,
-                 qrels, emit_latency=not args.no_latency)
+    rows = sweep(pipe, args.probes, args.cutoffs, queries, qrels,
+                 emit_latency=not args.no_latency)
     sweep_to_csv(rows, args.out)
     print(f"wrote {len(rows)} sweep rows -> {args.out}")
     return 0
@@ -270,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, default=500)
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--splits", default="", help="comma sizes for train,valid,test query files")
+    p.add_argument("--splits", type=_int_list, default=None,
+                   help="comma sizes for train,valid,test query files")
     p.set_defaults(func=cmd_make_synthetic)
 
     p = sub.add_parser("index-lexical", help="build the positional inverted index")
@@ -370,8 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="probe x cutoff efficiency/effectiveness grid")
     add_runtime_args(p)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--probes", required=True, help="comma-separated nprobe values")
-    p.add_argument("--cutoffs", required=True, help="comma-separated re-rank cutoffs")
+    p.add_argument("--probes", type=_int_list, required=True,
+                   help="comma-separated nprobe values")
+    p.add_argument("--cutoffs", type=_int_list, required=True,
+                   help="comma-separated re-rank cutoffs")
     p.add_argument("--out", required=True)
     p.add_argument("--no-latency", action="store_true",
                    help="write 0.0 latency for byte-stable output")

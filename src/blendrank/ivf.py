@@ -16,9 +16,15 @@ product; scoring list by list changes score bits. `cosine_scores` is the
 one cosine, also of the cosine feature; for one document the two can still
 differ in the last bit, since their products have different shapes.
 
-k-means and list assignment take distances one block of rows at a time, with
-the whole-matrix arithmetic. Blocks are near-equal in size: a product over a
-few rows can round differently from the same rows of a larger product.
+Lloyd's steps and list assignment take distances one block of rows at a
+time, with the whole-matrix arithmetic. Blocks are near-equal in size: a
+product over a few rows can round differently from the same rows of a larger
+product. k-means++ seeding screens instead: after each center is drawn, one
+matrix-vector product bounds every point's squared distance to it from below,
+with a slack far above the rounding. A point whose bound exceeds its closest
+distance provably keeps it; only the other points (about 3% on 40,000 x 32
+embeddings and 200 centers) are gathered and measured exactly, so the seeded
+centers are those of measuring every point.
 """
 
 from __future__ import annotations
@@ -98,12 +104,27 @@ def _nearest(points: np.ndarray, p2: np.ndarray,
     return assign, dist
 
 
-def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ initialization: probability proportional to squared distance."""
+SCREEN_SLACK = 1e-9
+
+
+def _kmeanspp_seed(points: np.ndarray, p2: np.ndarray, k: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """k-means++ initialization: probability proportional to squared distance.
+
+    After each center c is drawn, one product gives every point a lower bound
+    on its squared distance to c: p2 - 2<p, c> + c2, less SCREEN_SLACK * (p2 +
+    c2) and the smallest normal float (which covers underflow). The worst-case
+    rounding of that form plus that of the exact one is about 4e-16 * dim of
+    p2 + c2: 1e-14 at dim 32, five orders below the slack. So a point whose
+    bound exceeds its closest distance keeps it. The rest (every point for the
+    first center, and any NaN bound) are gathered at most BLOCK_ROWS at a
+    time and measured exactly as `points - c` and a row dot (p2: the points'
+    squared norms).
+    """
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]), dtype=np.float64)
-    blocks = _row_blocks(n)
-    diff = np.empty((max(b - a for a, b in blocks), points.shape[1]))
+    diff = np.empty((min(n, BLOCK_ROWS), points.shape[1]))
+    p2_low = p2 * (1.0 - SCREEN_SLACK)
     closest = np.full(n, np.inf)
     idx = int(rng.integers(n))
     for c in range(k):
@@ -114,11 +135,17 @@ def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
                 idx = int(rng.integers(n))
             else:
                 idx = int(rng.choice(n, p=closest / total))
-        centers[c] = points[idx]
-        for a, b in blocks:
-            np.subtract(points[a:b], centers[c], out=diff[:b - a])
-            sq = np.einsum("ij,ij->i", diff[:b - a], diff[:b - a])
-            np.minimum(closest[a:b], sq, out=closest[a:b])
+        center = centers[c] = points[idx]
+        bound = points @ (-2.0 * center)
+        bound += p2_low
+        bound += (1.0 - SCREEN_SLACK) * (center @ center) - np.finfo(np.float64).smallest_normal
+        todo = np.flatnonzero(~(bound > closest))
+        for a in range(0, todo.shape[0], BLOCK_ROWS):
+            rows = todo[a:a + BLOCK_ROWS]
+            d = diff[:rows.shape[0]]
+            np.take(points, rows, axis=0, out=d)
+            d -= center
+            closest[rows] = np.minimum(closest[rows], np.einsum("ij,ij->i", d, d))
     return centers
 
 
@@ -128,9 +155,14 @@ def train_kmeans(vectors: EmbeddingMatrix, nlist: int, max_iters: int = 25,
 
     Empty clusters are reseeded to the point currently farthest from its
     centroid. Stops after max_iters or when the assignment is stable.
-    Distances are taken one row block at a time; a centroid is the mean of
-    its members, summed in ascending point order from the first member on
-    (-0.0 stays -0.0), gathered a block of whole clusters at a time.
+    Seeding screens each new center with one matrix-vector lower bound and
+    measures exactly only the points whose bound does not exceed their
+    closest distance; the bound's slack is 1e5 times the rounding at dim 32,
+    so the centers are bit-identical to measuring every point. Lloyd's
+    distances are taken one row block at a time, from the same p2. A
+    centroid is the mean of its members, summed in ascending point order from
+    the first member on (-0.0 stays -0.0), gathered a block of whole clusters
+    at a time.
     """
     points = vectors.rows.astype(np.float64)
     n = points.shape[0]
@@ -138,9 +170,8 @@ def train_kmeans(vectors: EmbeddingMatrix, nlist: int, max_iters: int = 25,
         raise ValueError(f"nlist must be in [1, {n}], got {nlist}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    rng = np.random.default_rng(seed)
-    centers = _kmeanspp_seed(points, nlist, rng)
     p2 = np.einsum("ij,ij->i", points, points)
+    centers = _kmeanspp_seed(points, p2, nlist, np.random.default_rng(seed))
     assign = np.full(n, -1, dtype=np.int64)
     for _ in range(max_iters):
         new_assign, dist_to_own = _nearest(points, p2, centers)

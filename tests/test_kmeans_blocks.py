@@ -1,20 +1,24 @@
-"""Blocked k-means and list assignment against the whole-matrix oracle.
+"""Blocked and screened k-means and list assignment against the whole-matrix oracle.
 
-`train_kmeans` and `build_ivf` take distances one near-equal row block at a
-time; `kmeans_oracle` takes them as one n x nlist matrix. Centroids, lists
-and CRIV2 bytes must agree bit for bit, on shapes whose row counts cross the
-block bounds.
+Lloyd's steps and `build_ivf` take distances one near-equal row block at a
+time, and k-means++ seeding measures only the points its lower bound cannot
+rule out; `kmeans_oracle` measures every distance, as one n x nlist matrix
+or one whole `points - center` pass. Centroids, lists and CRIV2 bytes must
+agree bit for bit, on shapes whose row counts cross the block bounds and on
+inputs where the bound's slack or its rounding matters most.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kmeans_oracle
+from blendrank import ivf
 from blendrank.embeddings import EmbeddingMatrix
-from blendrank.ivf import (BLOCK_ROWS, METRICS, _nearest, _row_blocks, build_ivf,
-                           save_ivf, search, train_kmeans)
+from blendrank.ivf import (BLOCK_ROWS, METRICS, SCREEN_SLACK, _nearest, _row_blocks,
+                           build_ivf, save_ivf, search, train_kmeans)
 from ivf_oracle import exhaustive_search
 
 B = BLOCK_ROWS
@@ -151,3 +155,98 @@ def test_training_holds_no_whole_distance_matrix():
         tracemalloc.stop()
     assert train_peak < half_distance_matrix
     assert build_peak < half_distance_matrix
+
+
+@pytest.mark.parametrize("scale, offset", [(1.0, 1e4), (1.0, -1e4), (1e-30, 0.0), (1e15, 0.0)],
+                         ids=["offset", "negative-offset", "tiny", "huge"])
+def test_rows_far_from_the_origin_or_unit_scale(scale, offset, tmp_path):
+    # At an offset of 1e4 the slack (1e-9 of p2 + c2, about 3 here) is as
+    # large as the rows' spread, so most rows fail the screen and are measured.
+    rows = random_matrix(2 * B + 1, 32, 13).rows * np.float32(scale) + np.float32(offset)
+    assert_matches_oracle(EmbeddingMatrix(rows), 40, 6, 4, tmp_path)
+
+
+@pytest.mark.parametrize("scale, offset", [(1.0, 1e8), (1e-162, 0.0)],
+                         ids=["rounding", "underflow"])
+def test_seeding_where_the_rounding_is_as_large_as_the_distances(scale, offset):
+    # Float64 rows 1e8 from the origin with unit spread: the expanded form's
+    # rounding (about 1e-16 of p2, some tens here) is as large as the squared
+    # distances (about 64), so only the slack keeps the screen from dropping
+    # points that would move. At 1e-162 the squares are subnormal, where the
+    # rounding is absolute and only the smallest-normal term covers it.
+    points = np.random.default_rng(31).normal(size=(B + 1, 32)) * scale + offset
+    p2 = np.einsum("ij,ij->i", points, points)
+    got = ivf._kmeanspp_seed(points, p2, 30, np.random.default_rng(3))
+    want = kmeans_oracle._kmeanspp_seed(points, 30, np.random.default_rng(3))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_duplicated_clusters(tmp_path):
+    # Two identical copies of each cluster: every seeded center has a twin
+    # at distance exactly zero, and the screen must keep those zeros.
+    rng = np.random.default_rng(19)
+    half = (rng.normal(size=(12, 6)) * 5)[rng.integers(0, 12, B)] + rng.normal(size=(B, 6)) * 0.1
+    rows = np.concatenate([half, half]).astype(np.float32)
+    assert_matches_oracle(EmbeddingMatrix(rows[rng.permutation(2 * B)]), 20, 6, 6, tmp_path)
+
+
+def test_points_equidistant_from_two_centers(tmp_path):
+    # A small-integer lattice: squared distances are exact integers, so many
+    # points are tied between centers, and between bound and closest distance.
+    rng = np.random.default_rng(23)
+    rows = rng.integers(-3, 4, size=(B + 1, 3)).astype(np.float32)
+    assert_matches_oracle(EmbeddingMatrix(rows), 12, 6, 7, tmp_path)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(1, 3 * B).flatmap(lambda n: st.tuples(
+           st.just(n), st.integers(1, 16), st.integers(1, n), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-30, 1.0, 1e15]), st.sampled_from([0.0, 1e4]),
+           st.integers(1, n))))
+def test_screened_seeding_equals_oracle(world):
+    """Over small worlds, screened seeding draws the oracle's centers bit for
+    bit; a pool of `distinct` rows drawn with repeats gives exact ties."""
+    n, dim, nlist, seed, scale, offset, distinct = world
+    rng = np.random.default_rng(seed)
+    pool = (rng.normal(size=(distinct, dim)) * scale + offset).astype(np.float32)
+    points = pool[rng.integers(0, distinct, n)].astype(np.float64)
+    p2 = np.einsum("ij,ij->i", points, points)
+    got = ivf._kmeanspp_seed(points, p2, nlist, np.random.default_rng(seed))
+    want = kmeans_oracle._kmeanspp_seed(points, nlist, np.random.default_rng(seed))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_screen_slack_is_far_above_the_rounding():
+    """The largest gap between the expanded distance (the screen's form) and
+    the subtract-and-dot form, over adversarial rows, stays 1000x below the
+    slack. Tightening SCREEN_SLACK toward the rounding fails here."""
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for dim in (1, 3, 32, 128):
+        rows = rng.normal(size=(3000, dim)) * 10.0 ** rng.uniform(-3, 6, size=(3000, 1))
+        rows += rng.choice([0.0, 1e4, -1e6], size=(3000, 1))
+        rows[::7] += 1e4 * rng.normal(size=dim)
+        points = rows.astype(np.float32).astype(np.float64)
+        p2 = np.einsum("ij,ij->i", points, points)
+        for c in rng.integers(0, points.shape[0], 40):
+            center = points[c]
+            c2 = center @ center
+            expanded = points @ (-2.0 * center) + p2 + c2
+            diff = points - center
+            exact = np.einsum("ij,ij->i", diff, diff)
+            worst = max(worst, float(np.max(np.abs(expanded - exact) / (p2 + c2))))
+    assert 0.0 < worst <= SCREEN_SLACK / 1000
+
+
+def test_seeding_holds_no_half_copy_of_the_points():
+    # Points that fail the screen are gathered BLOCK_ROWS at a time, so even
+    # the first center, which measures every point, copies no large part of them.
+    points = random_matrix(20000, 32, 3).rows.astype(np.float64)
+    p2 = np.einsum("ij,ij->i", points, points)
+    tracemalloc.start()
+    try:
+        ivf._kmeanspp_seed(points, p2, 50, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < points.nbytes / 2

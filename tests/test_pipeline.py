@@ -788,6 +788,25 @@ class TestCli:
         assert exc.value.code == 2
         assert f"argument {flag}: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["make-synthetic", "--out-dir", "d", "--splits", "10,x"],
+         "argument --splits: 'x' is not an integer"),
+        (["sweep", "--probes", "1,a"], "argument --probes: 'a' is not an integer"),
+        (["sweep", "--cutoffs", ","],
+         "argument --cutoffs: expected comma-separated integers, got an empty list ','"),
+    ], ids=["splits-element", "probes-element", "cutoffs-empty"])
+    def test_integer_lists_exit_2_naming_the_flag(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert f"{message}\n" in capsys.readouterr().err
+
+    def test_integer_lists_parse_to_ints(self):
+        args = build_parser().parse_args(["make-synthetic", "--out-dir", "d",
+                                          "--splits", "3, 2,,1"])
+        assert args.splits == [3, 2, 1]
+        assert build_parser().parse_args(["make-synthetic", "--out-dir", "d"]).splits is None
+
     def test_tuning_ranges_parse_to_typed_pairs(self):
         args = build_parser().parse_args(["train", "--train-data", "t.npz", "--valid-data",
                                           "v.npz", "--out", "m.json", "--min-data-range",
