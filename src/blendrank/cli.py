@@ -4,6 +4,7 @@ search, evaluation, the probe/cutoff sweep, and the analysis reports."""
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections import Counter
 from dataclasses import fields
@@ -20,21 +21,34 @@ from .metrics import (bonferroni, evaluate_run, load_run, paired_t_test, paired_
                       per_query_diff, write_run)
 from .pipeline import (Pipeline, PipelineConfig, build_blended_datasets, sweep,
                        sweep_to_csv, train_variant)
-from .synthetic import make_synthetic
+from .synthetic import MIN_DIM, MIN_DOCS, MIN_QUERIES, make_synthetic
+
+
+def _int(text: str) -> int:
+    """argparse type: an integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text.strip()!r} is not an integer") from None
 
 
 def _int_list(text: str) -> list[int]:
     """argparse type: a non-empty comma-separated list of integers."""
-    values = []
-    for x in filter(str.strip, text.split(",")):
-        try:
-            values.append(int(x))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{x.strip()!r} is not an integer") from None
+    values = [_int(x) for x in filter(str.strip, text.split(","))]
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got an empty "
                                          f"list {text!r}")
     return values
+
+
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than lo."""
+    def parse(text: str) -> int:
+        value = _int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    return parse
 
 
 def _range_of(kind):
@@ -56,6 +70,12 @@ def cmd_make_synthetic(args) -> int:
         raise SystemExit(f"--splits takes at most three non-negative sizes (train,valid,test) "
                          f"summing to at most --queries {args.queries}, "
                          f"got {','.join(map(str, splits))!r}")
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as e:
+        print(f"blendrank make-synthetic: error: argument --out-dir: cannot create "
+              f"directory {args.out_dir!r}: {e.strerror}", file=sys.stderr)
+        return 2
     data = make_synthetic(args.docs, args.queries, args.dim, args.seed)
     out = args.out_dir.rstrip("/")
     with open(f"{out}/collection.tsv", "w", encoding="utf-8") as f:
@@ -277,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-synthetic", help="generate a synthetic benchmark")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--docs", type=int, default=5000)
-    p.add_argument("--queries", type=int, default=500)
-    p.add_argument("--dim", type=int, default=32)
+    p.add_argument("--docs", type=_at_least(MIN_DOCS), default=5000)
+    p.add_argument("--queries", type=_at_least(MIN_QUERIES), default=500)
+    p.add_argument("--dim", type=_at_least(MIN_DIM), default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--splits", type=_int_list, default=None,
                    help="comma sizes for train,valid,test query files")

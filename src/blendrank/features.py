@@ -17,6 +17,13 @@ terms (24); whole-match scores (BM25, Dirichlet language model), counts
 and the tf-idf cosine (8); and positional proximity (4), each computed for
 all candidates at once, with no loop over documents. Aggregation is over
 unique query terms; query length counts tokens with duplicates.
+
+Most of a call's cost is fixed per query, so the batch path keeps the number
+of array operations small: the six term statistics are one (statistic x term
+x candidate) block, reduced once for their min and max; the catalog is
+written straight into the lexical span of the feature matrix; and the
+positional features sort every matched occurrence once and read all terms
+and term pairs from it, with no loop over them.
 """
 
 from __future__ import annotations
@@ -137,159 +144,180 @@ def make_mask(registry: FeatureRegistry, variant: str) -> FeatureMask:
     return FeatureMask(variant, np.concatenate(ids), registry.registry_hash)
 
 
+_FAR = 2 ** 62  # beyond every key, and far enough from 0 that no distance wraps
+
+
 class _QueryContext:
     """Per-query precomputation shared across candidate documents."""
 
     def __init__(self, index: InvertedIndex, query_tokens: list[str]):
+        self.index = index
         self.tokens = list(query_tokens)
         self.terms = sorted(set(self.tokens))
-        self.postings = [index.postings.get(t) for t in self.terms]
         self.idf = [index.idf(t) for t in self.terms]
         self.cf = [index.cf.get(t, 0) for t in self.terms]
         self.query_weights = [self.tokens.count(t) * w for t, w in zip(self.terms, self.idf)]
         self.query_norm = math.sqrt(sum(w * w for w in self.query_weights))
         self.bigrams = list(zip(self.tokens, self.tokens[1:]))
+        # For the batch path: each term's postings as a range of the index's flat
+        # arrays (None when unseen), and how often each (term, next term) bigram occurs.
+        o, rows = index.offsets, [index.term_index.get(t) for t in self.terms]
+        self.ranges = [(int(o[r]), int(o[r + 1])) if r is not None else None for r in rows]
+        at = {t: i for i, t in enumerate(self.terms)}
+        self.bigram_counts = np.zeros((len(self.terms), len(self.terms)))
+        for a, b in self.bigrams:
+            self.bigram_counts[at[a], at[b]] += 1
+
+    @cached_property
+    def postings(self) -> list:
+        """Each term's (ids, tfs, positions), or None when unseen."""
+        return [self.index.postings.get(t) for t in self.terms]
 
 
-def _positional_features(index: InvertedIndex, ctx: _QueryContext, match_pos: np.ndarray,
-                         dl: np.ndarray, matched: np.ndarray, out: np.ndarray) -> None:
+def _positional_features(index: InvertedIndex, ctx: _QueryContext, found: np.ndarray,
+                         hit: np.ndarray, dl: np.ndarray, matched: np.ndarray,
+                         out: np.ndarray) -> None:
     """Fill the window, pair-distance, bigram and within-window columns.
 
-    Each matched term's runs in all candidates become one sorted array of
-    keys slot * stride + position. stride exceeds every position + 1, so
-    key + 1 never crosses into the next slot, and two keys share a slot
-    exactly when they share key // stride. All of it is integer arithmetic.
+    `found[t, j]` is the flat index of term t's posting in candidate j, where
+    `hit[t, j]`. Every matched occurrence gets the key slot * stride +
+    position. stride is more than twice the longest candidate, so key + 1
+    never crosses into the next slot, two keys share a slot exactly when they
+    share key // stride, and a gap between slots exceeds every gap within one.
+    Sorted by key, the occurrences of every term are read together, with no
+    loop over terms or term pairs. All of it is integer arithmetic.
     """
     n = out.shape[0]
-    stride = int(dl.max(initial=0.0)) + 1
-    runs = {}  # term index -> (keys, slots, where each slot's run starts in keys)
-    for t_i, (term, ks) in enumerate(zip(ctx.terms, match_pos)):
-        slots = np.flatnonzero(ks >= 0)
-        if slots.shape[0]:
-            k = index.offsets[index.term_index[term]] + ks[slots]
-            starts = index.run_starts[k]
-            lens = index.run_starts[k + 1] - starts
-            offsets = np.cumsum(lens) - lens
-            idx = np.repeat(starts - offsets, lens) + np.arange(lens.sum())
-            runs[t_i] = (np.repeat(slots * stride, lens) + index.positions[idx], slots, offsets)
-    for ia, ib in ((ctx.terms.index(a), ctx.terms.index(b)) for a, b in ctx.bigrams):
-        if ia in runs and ib in runs:
-            ka, kb = runs[ia][0] + 1, runs[ib][0]
-            nxt = kb[np.minimum(np.searchsorted(kb, ka), kb.shape[0] - 1)]
-            out[:, 34] += np.bincount(ka[nxt == ka] // stride, minlength=n)
-
     out[:, 32] = dl + 1.0
     out[:, 33] = dl
     multi = matched >= 2
-    if not multi.any():
+    some_multi = multi.any()
+    if not (ctx.bigrams or some_multi):
         return
-    far = np.iinfo(np.int64).max
-    dist_sum, within = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    terms = list(runs.values())
-    for i, (ka, slots, offsets) in enumerate(terms):
-        sa = ka // stride
-        for kb, _, _ in terms[i + 1:]:
-            j = np.searchsorted(kb, ka)
-            hi, lo = kb[np.minimum(j, kb.shape[0] - 1)], kb[np.maximum(j - 1, 0)]
-            d = np.minimum.reduceat(np.minimum(np.where(hi // stride == sa, np.abs(hi - ka), far),
-                                               np.where(lo // stride == sa, np.abs(lo - ka), far)),
-                                    offsets)
-            both = d < far
-            dist_sum[slots[both]] += d[both]
-            within[slots[both]] += d[both] <= PAIR_WINDOW
-    out[multi, 33] = dist_sum[multi] / (matched * (matched - 1) / 2)[multi]
-    out[multi, 35] = within[multi]
+    term, slot = np.nonzero(hit)  # one entry per matched (term, candidate), term-major
+    if not term.shape[0]:
+        return
+    k = found[hit]
+    starts = index.run_starts[k]
+    lens = index.run_starts[k + 1] - starts
+    seg = np.cumsum(lens) - lens  # where each entry's occurrences begin
+    run = np.repeat(starts - seg, lens)
+    stride = 2 * int(dl.max()) + 1
+    key = np.repeat(slot * stride, lens) + index.positions[run + np.arange(run.shape[0])]
+    # Sorted by key (each term's keys are one sorted run already); `order` maps
+    # each sorted place back to its place in entry order.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    occ_term, occ_slot = np.repeat(term, lens)[order], key // stride
 
-    # A cover from occurrence p reaches each of the document's terms at or after p.
-    occ = np.sort(np.concatenate([k for k, _, _ in terms]))
-    occ = occ[multi[occ // stride]]
-    occ_slot = occ // stride
-    window = np.ones_like(occ)
-    for t_i, (kt, _, _) in runs.items():
-        j = np.searchsorted(kt, occ)
-        nxt = kt[np.minimum(j, kt.shape[0] - 1)]
-        span = np.where((j < kt.shape[0]) & (nxt // stride == occ_slot), nxt - occ + 1,
-                        np.where(match_pos[t_i, occ_slot] >= 0, far, 0))
-        np.maximum(window, span, out=window)
+    # A bigram hit is an occurrence followed at the next position by the bigram's second term.
+    if ctx.bigrams:
+        follows = np.flatnonzero(key[1:] == key[:-1] + 1)
+        out[:, 34] = np.bincount(occ_slot[follows], minlength=n,
+                                 weights=ctx.bigram_counts[occ_term[follows],
+                                                           occ_term[follows + 1]])
+    if not some_multi:
+        return
+
+    # Each occurrence's nearest occurrence of every term at or after it and at or
+    # before it. Where the term occurs in the candidate, the nearest is in it.
+    terms = np.arange(hit.shape[0])[:, None]
+    is_t = occ_term == terms
+    nxt = np.minimum.accumulate(np.where(is_t, key, _FAR)[:, ::-1], axis=1)[:, ::-1]
+    prv = np.maximum.accumulate(np.where(is_t, key, -_FAR), axis=1)
+
+    # d[t, e]: the least distance from entry e's occurrences to term t. Where t
+    # occurs in e's candidate, that is the pair's minimum distance.
+    near = np.empty_like(nxt)
+    near[:, order] = np.minimum(nxt - key, key - prv)
+    d = np.minimum.reduceat(near, seg, axis=1)
+    pair = (terms > term) & hit[:, slot]
+    dist_sum = np.bincount(slot, weights=np.where(pair, d, 0).sum(axis=0), minlength=n)
+    within = np.bincount(slot, weights=(pair & (d <= PAIR_WINDOW)).sum(axis=0), minlength=n)
+    np.divide(dist_sum, matched * (matched - 1) / 2, out=out[:, 33], where=multi)
+    np.copyto(out[:, 35], within, where=multi)
+
+    # A cover from occurrence p reaches each of the candidate's terms at or after
+    # p. Where some term has no occurrence after p, its next one lies in a later
+    # candidate or nowhere, and the span exceeds every cover within a candidate.
+    # The candidate's first occurrence always starts a cover, so the minimum is one.
+    window = np.where(hit[:, occ_slot], nxt - key + 1, 0).max(axis=0)
     first = np.flatnonzero(np.concatenate(([True], occ_slot[1:] != occ_slot[:-1])))
-    out[occ_slot[first], 32] = np.minimum.reduceat(window, first)
+    cover = np.zeros(n, dtype=np.int64)
+    cover[occ_slot[first]] = np.minimum.reduceat(window, first)
+    np.copyto(out[:, 32], cover, where=multi)
 
 
-def _lexical_features_batch(index: InvertedIndex, ctx: _QueryContext,
-                            doc_ids: np.ndarray) -> np.ndarray:
-    """Vectorized catalog for many documents of one query.
+def _lexical_features_batch(index: InvertedIndex, ctx: _QueryContext, doc_ids: np.ndarray,
+                            out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized catalog for many documents of one query, written into `out`
+    (n x LEXICAL_COUNT, for example the lexical span of a feature matrix) or a
+    new matrix, and returned.
 
-    Term statistics and whole-match scores are computed as (terms x docs)
-    arrays with the same elementwise operations as the per-document oracle
-    in tests/lexical_oracle.py (term-order accumulation keeps the sums
-    bitwise identical). The positional features read each matched posting's
-    positions by its index (`match_pos`), found once per term.
+    The six term statistics are one (statistic x term x document) block,
+    computed with the same elementwise operations as the per-document oracle in
+    tests/lexical_oracle.py. Its sums add the term rows one at a time in term
+    order, as the oracle does, so they are bitwise identical; a reduction along
+    the term axis would sum pairwise once there are 8 terms. The positional
+    features read each matched posting's positions by its flat index (`found`),
+    found once per term.
     """
     n = doc_ids.shape[0]
-    out = np.zeros((n, LEXICAL_COUNT), dtype=np.float64)
+    if out is None:
+        out = np.zeros((n, LEXICAL_COUNT), dtype=np.float64)
+    else:
+        out[...] = 0.0
     n_terms = len(ctx.terms)
     dl = index.doc_len[doc_ids].astype(np.float64)
-    avgdl = index.avg_doc_len
-    norm_len = (1.0 - BM25_B + BM25_B * (dl / avgdl)) if avgdl > 0 \
-        else np.ones(n)
-    dl_safe = np.where(dl > 0, dl, 1.0)
-
-    tf = np.zeros((max(n_terms, 1), n), dtype=np.float64)
-    match_pos = np.full((max(n_terms, 1), n), -1, dtype=np.int64)
-    for t_i in range(n_terms):
-        posting = ctx.postings[t_i]
-        if posting is None:
-            continue
-        ids, pfs, _ = posting
-        k = np.searchsorted(ids, doc_ids)
-        k_safe = np.minimum(k, ids.shape[0] - 1)
-        hit = ids[k_safe] == doc_ids
-        tf[t_i, hit] = pfs[k_safe[hit]]
-        match_pos[t_i, hit] = k_safe[hit]
-
-    if n_terms:
-        idf = np.array(ctx.idf)[:, None]
-        cf = np.array(ctx.cf, dtype=np.float64)[:, None]
-        tf_norm = np.where(dl[None, :] > 0, tf / dl_safe[None, :], 0.0)
-        tfidf = tf * idf
-        bm25 = np.where(tf > 0, idf * tf / (tf + BM25_K1 * norm_len[None, :]), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # cf == 0 lanes produce log(0), or 0/0 when every document is
-            # empty, and are discarded by the where.
-            lm = np.where(cf > 0,
-                          np.log((tf + LM_MU * cf / index.total_tokens)
-                                 / (dl[None, :] + LM_MU)),
-                          0.0)
-        idf_rows = np.broadcast_to(idf, tf.shape)
-        for k, stat in enumerate((tf, tf_norm, idf_rows, tfidf, bm25, lm)):
-            total = stat[0].copy()
-            for row in stat[1:]:
-                total += row
-            out[:, 4 * k] = total
-            out[:, 4 * k + 1] = stat.min(axis=0)
-            out[:, 4 * k + 2] = stat.max(axis=0)
-            out[:, 4 * k + 3] = total / n_terms
-        qw = np.array(ctx.query_weights)
-        dot = qw[0] * tfidf[0]
-        for t_i in range(1, n_terms):
-            dot = dot + qw[t_i] * tfidf[t_i]
-        matched = (tf > 0).sum(axis=0).astype(np.float64)
-    else:
-        dot = np.zeros(n)
-        matched = np.zeros(n)
-
-    out[:, 24] = out[:, 16]
-    out[:, 25] = out[:, 20]
     out[:, 26] = float(len(ctx.tokens))
     out[:, 27] = dl
-    out[:, 28] = matched
-    out[:, 29] = matched / n_terms if n_terms else 0.0
     out[:, 30] = index.unique_terms[doc_ids]
-    doc_norm = index.tfidf_norm[doc_ids]
-    denom_ok = (ctx.query_norm > 0) & (doc_norm > 0)
-    out[denom_ok, 31] = dot[denom_ok] / (ctx.query_norm * doc_norm[denom_ok])
-
-    _positional_features(index, ctx, match_pos[:n_terms], dl, matched, out)
+    matched = np.zeros(n)
+    found = np.zeros((n_terms, n), dtype=np.int64)
+    hit = np.zeros((n_terms, n), dtype=bool)
+    if n_terms:
+        stats = np.zeros((6, n_terms, n), dtype=np.float64)
+        tf, tf_norm, idf_rows, tfidf, bm25, lm = stats
+        if any(ctx.ranges):
+            for t_i, span in enumerate(ctx.ranges):
+                if span is not None:
+                    a, b = span
+                    np.minimum(index.ids[a:b].searchsorted(doc_ids) + a, b - 1, out=found[t_i])
+            np.equal(index.ids[found], doc_ids, out=hit)
+            if not all(ctx.ranges):  # an unseen term's row compared against posting 0
+                hit[[t_i for t_i, span in enumerate(ctx.ranges) if span is None]] = False
+            np.copyto(tf, index.tfs[found], where=hit)
+        idf = np.array(ctx.idf)[:, None]
+        np.divide(tf, np.maximum(dl, 1.0), out=tf_norm)  # tf is 0 where dl is
+        idf_rows[...] = idf
+        np.multiply(tf, idf, out=tfidf)
+        avgdl = index.avg_doc_len
+        norm_len = 1.0 - BM25_B + BM25_B * (dl / avgdl) if avgdl > 0 else 1.0
+        np.divide(tfidf, tf + BM25_K1 * norm_len, out=bm25, where=hit)  # every tf is >= 1
+        # A cf == 0 row would take log(0); it stays 0.
+        live = [t_i for t_i, c in enumerate(ctx.cf) if c > 0]
+        if live:
+            cf = np.array(ctx.cf, dtype=np.float64)[live, None]
+            lm[live] = np.log((tf[live] + LM_MU * cf / index.total_tokens) / (dl + LM_MU))
+        total = stats[:, 0].copy()
+        for t_i in range(1, n_terms):
+            total += stats[:, t_i]
+        out[:, 0:24:4] = total.T
+        out[:, 1:24:4] = np.minimum.reduce(stats, axis=1).T
+        out[:, 2:24:4] = np.maximum.reduce(stats, axis=1).T
+        out[:, 3:24:4] = (total / n_terms).T
+        out[:, 24:26] = total[4:].T
+        weighted = np.array(ctx.query_weights)[:, None] * tfidf
+        dot = weighted[0]
+        for t_i in range(1, n_terms):
+            dot = dot + weighted[t_i]
+        matched = np.add.reduce(hit, axis=0, dtype=np.float64)
+        out[:, 28] = matched
+        out[:, 29] = matched / n_terms
+        if ctx.query_norm > 0:
+            doc_norm = index.tfidf_norm[doc_ids]
+            np.divide(dot, ctx.query_norm * doc_norm, out=out[:, 31], where=doc_norm > 0)
+    _positional_features(index, ctx, found, hit, dl, matched, out)
     return out
 
 
@@ -317,18 +345,22 @@ class FeatureExtractor:
         """Blended vectors for candidates as a matrix.
 
         Cosine ranks are computed over the whole candidate list; rows are
-        materialized only for `needed` positions (default: all).
+        materialized only for `needed` positions (default: all). Each family
+        is written straight into its span of the one output matrix.
         """
         doc_ids = np.asarray(doc_ids, dtype=np.int64)
         cos, ranks = self.cosine_ranks(q_vec, doc_ids)
-        if needed is None:
-            needed = np.arange(len(doc_ids))
+        if needed is not None:
+            doc_ids, cos, ranks = doc_ids[needed], cos[needed], ranks[needed]
+        sp = self.registry.spans
+        out = np.empty((doc_ids.shape[0], self.registry.total), dtype=np.float64)
         q = np.asarray(q_vec, dtype=np.float64)
-        sel = doc_ids[needed]
-        rows = self.embeddings.rows[sel].astype(np.float64)
-        lexical = _lexical_features_batch(self.index, _QueryContext(self.index, query_tokens), sel)
-        out = np.empty((len(needed), self.registry.total), dtype=np.float64)
-        for span, part in zip(self.registry.spans.values(), (
-                q, rows, q - rows, cos[needed, None], ranks[needed, None], lexical)):
-            out[:, span] = part
+        out[:, sp["dense_query"]] = q
+        doc = out[:, sp["dense_doc"]]
+        doc[...] = self.embeddings.rows[doc_ids]
+        np.subtract(q, doc, out=out[:, sp["dense_delta"]])
+        out[:, sp["cosine"]] = cos[:, None]
+        out[:, sp["rank"]] = ranks[:, None]
+        _lexical_features_batch(self.index, _QueryContext(self.index, query_tokens), doc_ids,
+                                out[:, sp["lexical"]])
         return out

@@ -151,8 +151,12 @@ def build_training_set(queries: QuerySet, qrels: Qrels,
             continue
         rel_ids = np.array(sorted(relevant), dtype=np.int64)
         cand = np.asarray(ranking.ids, dtype=np.int64)
-        merged = np.concatenate([cand, rel_ids[~np.isin(rel_ids, cand)]])
-        pool = cand[~np.isin(cand, rel_ids)]
+        # rel_ids is sorted and unique, so one search tells which candidates are relevant.
+        at = np.searchsorted(rel_ids, cand)
+        is_rel = rel_ids[np.minimum(at, rel_ids.shape[0] - 1)] == cand
+        unretrieved = np.bincount(at[is_rel], minlength=rel_ids.shape[0]) == 0
+        merged = np.concatenate([cand, rel_ids[unretrieved]])
+        pool = cand[~is_rel]
         take = min(n_neg, pool.shape[0])
         negatives = pool[rng.choice(pool.shape[0], size=take, replace=False)] if take else pool[:0]
         group_ids = np.concatenate([rel_ids, negatives])
@@ -160,9 +164,11 @@ def build_training_set(queries: QuerySet, qrels: Qrels,
             np.array([relevant[i] for i in rel_ids.tolist()], dtype=np.int64),
             np.zeros(take, dtype=np.int64),
         ])
-        # Each id's row in merged: its last position, should a ranking repeat it.
-        by_id = np.argsort(merged, kind="stable")
-        needed = by_id[np.searchsorted(merged, group_ids, side="right", sorter=by_id) - 1]
+        # Each id's row in merged: its last position, should a ranking repeat it. Sorted,
+        # id * len + position orders by id, then position.
+        size = merged.shape[0]
+        by_id = np.sort(merged * size + np.arange(size))
+        needed = by_id[np.searchsorted(by_id, (group_ids + 1) * size) - 1] - group_ids * size
         tokens = extractor.tokenize_query(text)
         feats = extractor.feature_matrix(tokens, query_vectors[qid], merged, needed)
         groups.append(LtrGroup(qid, feats, labels, group_ids))

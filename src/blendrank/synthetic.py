@@ -36,6 +36,7 @@ GENRE_WEIGHT = 0.5
 DOC_NOISE = 0.40
 QUERY_NOISE = 0.40
 QUERY_WORDS = 3
+MIN_DOCS, MIN_QUERIES, MIN_DIM = 100, 1, 2
 P_TOPIC = 0.55
 P_SHARED = 0.20
 P_COMMON = 0.15
@@ -71,10 +72,10 @@ def _topic_vocabularies(n_topics: int) -> list[list[str]]:
 def make_synthetic(n_docs: int, n_queries: int, dim: int, seed: int) -> SyntheticData:
     """Deterministic synthetic collection with complementary relevance signals,
     over max(4, round(sqrt(n_docs) / 2)) topics."""
-    if n_docs < 100:
-        raise ValueError("n_docs must be >= 100")
-    if n_queries < 1 or dim < 2:
-        raise ValueError("need n_queries >= 1 and dim >= 2")
+    if n_docs < MIN_DOCS:
+        raise ValueError(f"n_docs must be >= {MIN_DOCS}")
+    if n_queries < MIN_QUERIES or dim < MIN_DIM:
+        raise ValueError(f"need n_queries >= {MIN_QUERIES} and dim >= {MIN_DIM}")
     rng = np.random.default_rng(seed)
     n_topics = max(4, int(round(np.sqrt(n_docs) / 2.0)))
     vocabs = _topic_vocabularies(n_topics)

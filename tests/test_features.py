@@ -13,7 +13,7 @@ from blendrank.embeddings import EmbeddingMatrix
 from blendrank.features import (FeatureExtractor, _QueryContext, _lexical_features_batch, FeatureRegistry, build_registry,
                                 make_mask, DEFAULT_LEXICAL_NAMES, LEXICAL_COUNT)
 from blendrank.synthetic import make_synthetic
-from lexical_oracle import extract_lexical
+from lexical_oracle import extract_lexical, lexical_features
 
 IDX = {name: i for i, name in enumerate(DEFAULT_LEXICAL_NAMES)}
 
@@ -148,6 +148,81 @@ class TestLexicalCatalog:
         batch = _lexical_features_batch(idx, _QueryContext(idx, tokens), doc_ids)
         for r, doc in enumerate(doc_ids):
             np.testing.assert_array_equal(batch[r], extract_lexical(idx, tokens, int(doc)))
+
+
+def assert_rows_are_the_oracle(index, ctx, doc_ids, batch):
+    """Each row of a lexical batch has the oracle's bytes, signed zeros included."""
+    assert batch.shape == (len(doc_ids), LEXICAL_COUNT)
+    for r, doc in enumerate(doc_ids):
+        want = lexical_features(index, ctx, int(doc))
+        differ = [DEFAULT_LEXICAL_NAMES[c] for c in range(LEXICAL_COUNT)
+                  if batch[r, c].tobytes() != want[c].tobytes()]
+        assert differ == [], f"row {r} (doc {doc})"
+
+
+class TestBatchBitHazards:
+    """Inputs where the batch path could round, or sign a zero, differently
+    from the per-document oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("n_terms", [8, 13])
+    def test_eight_or_more_matched_terms(self, n, n_terms):
+        # Summed along the term axis by one reduction, 8 or more terms would be
+        # added pairwise; the oracle adds them left to right.
+        rng = np.random.default_rng(n_terms)
+        vocab = [f"t{i}" for i in range(n_terms)]
+        texts = [" ".join(list(vocab) + list(rng.choice(vocab + ["x", "y"], size=40)))
+                 for _ in range(4)]
+        texts += [" ".join(rng.choice(vocab[:3] + ["x"], size=9)) for _ in range(5)]
+        idx = build_inverted_index(Corpus([f"d{i}" for i in range(9)], texts))
+        ex = FeatureExtractor(idx, EmbeddingMatrix(rng.normal(size=(9, 3)).astype(np.float32)))
+        tokens = vocab + vocab[:2]
+        ctx = _QueryContext(idx, tokens)
+        ids = np.array([2, 0, 3][:n], dtype=np.int64)
+        batch = _lexical_features_batch(idx, ctx, ids)
+        assert (batch[:, IDX["lex_matched"]] == n_terms).all()
+        assert_rows_are_the_oracle(idx, ctx, ids, batch)
+        blended = ex.feature_matrix(tokens, np.ones(3), ids)
+        assert_rows_are_the_oracle(idx, ctx, ids, blended[:, ex.registry.spans["lexical"]])
+
+    @pytest.mark.parametrize("idf", [(-0.0, 0.0, -0.0), (0.0, -0.0, 0.0), (-0.0, 1.5, 0.0, -0.0)])
+    def test_signed_zero_extremes(self, idf):
+        # No index gives a zero idf, so the context's are set: the idf, tf-idf
+        # and BM25 columns then hold -0.0 beside 0.0. The oracle's min and max
+        # keep the first of equal values and numpy's the last, so each pattern
+        # starts and ends on the same zero, and the documents match every query
+        # term or none.
+        terms = "abcd"[:len(idf)]
+        idx = build_inverted_index(Corpus(["all", "none", "empty", "again"],
+                                          [" ".join(terms) + " x", "x y x", "", terms[::-1]]))
+        ctx = _QueryContext(idx, list(terms))
+        ctx.idf = list(idf)
+        ids = np.arange(4, dtype=np.int64)
+        batch = _lexical_features_batch(idx, ctx, ids)
+        assert_rows_are_the_oracle(idx, ctx, ids, batch)
+        zeros = batch[:, [IDX["lex_idf_min"], IDX["lex_tfidf_min"]]]
+        assert (zeros == 0.0).all() and (np.signbit(zeros) == np.signbit(idf[0])).all()
+
+    @pytest.mark.parametrize("query", ["a b a b a", "a a a b", "b a zz b a a"])
+    def test_repeated_terms_and_bigrams(self, query):
+        texts = ["a b a b a x", "a a a b b", "b a b", "x y", "", "a x b"]
+        idx = build_inverted_index(Corpus([f"d{i}" for i in range(6)], texts))
+        rng = np.random.default_rng(5)
+        ex = FeatureExtractor(idx, EmbeddingMatrix(rng.normal(size=(6, 3)).astype(np.float32)))
+        tokens = tokenize(query)
+        ctx = _QueryContext(idx, tokens)
+        ids = np.array([5, 0, 3, 1, 4, 2], dtype=np.int64)
+        q = rng.normal(size=3)
+        full = ex.feature_matrix(tokens, q, ids)
+        lexical = ex.registry.spans["lexical"]
+        assert full[:, lexical.start + IDX["lex_ordered_bigrams"]].max() > 2
+        for needed in ([], [1], [4, 0, 0]):
+            rows = ex.feature_matrix(tokens, q, ids, np.array(needed, dtype=np.int64))
+            assert rows.shape == (len(needed), ex.registry.total)
+            assert rows.tobytes() == full[needed].tobytes()
+            assert_rows_are_the_oracle(idx, ctx, ids[needed], rows[:, lexical])
+            assert_rows_are_the_oracle(idx, ctx, ids[needed],
+                                       _lexical_features_batch(idx, ctx, ids[needed]))
 
 
 def lexical_block(extractor, tokens):

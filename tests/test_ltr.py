@@ -576,6 +576,25 @@ class TestBuildTrainingSet:
         np.testing.assert_array_equal(
             group.features, full[[position[int(d)] for d in group.doc_ids]])
 
+    @pytest.mark.parametrize("n_neg, negatives", [(3, [3, 5, 5]), (30, [5, 12, 3, 5, 9, 11])])
+    def test_repeated_ids_in_the_ranking(self, n_neg, negatives):
+        # d7 (relevant) and d5 (not) are each retrieved twice; d20 (relevant)
+        # is not retrieved. The pool keeps both copies of d5, and each row is
+        # the merged list's last position of its id.
+        corpus, ex = tiny_world()
+        queries = QuerySet(["q1"], ["w1 w4 w2"])
+        qrels = Qrels({("q1", "d7"): 2, ("q1", "d20"): 1})
+        ranked = [5, 7, 3, 7, 9, 5, 11, 12]
+        group = build_training_set(queries, qrels, {"q1": self.ranking(ranked)}, corpus, ex,
+                                   {"q1": np.ones(4)}, n_neg=n_neg, seed=2).groups[0]
+        merged = np.array(ranked + [20])
+        full = ex.feature_matrix(ex.tokenize_query("w1 w4 w2"), np.ones(4), merged)
+        last = {int(d): p for p, d in enumerate(merged)}
+        assert group.doc_ids.tolist() == [7, 20] + negatives
+        assert group.labels.tolist() == [2, 1] + [0] * len(negatives)
+        np.testing.assert_array_equal(group.features,
+                                      full[[last[int(d)] for d in group.doc_ids]])
+
     def test_unknown_qrels_doc_ids_ignored(self):
         corpus, ex = tiny_world()
         queries = QuerySet(["q1"], ["w1"])

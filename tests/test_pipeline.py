@@ -772,7 +772,7 @@ class TestCli:
         with pytest.raises(SystemExit, match="^" + re.escape(
                 "--splits takes at most three non-negative sizes (train,valid,test) summing "
                 f"to at most --queries 40, got {splits!r}") + "$"):
-            cli_main(["make-synthetic", "--out-dir", str(tmp_path), "--docs", "50",
+            cli_main(["make-synthetic", "--out-dir", str(tmp_path), "--docs", "100",
                       "--queries", "40", "--dim", "4", f"--splits={splits}"])
         assert not list(tmp_path.iterdir())
 
@@ -800,6 +800,37 @@ class TestCli:
             cli_main(argv)
         assert exc.value.code == 2
         assert f"{message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--docs", "50", "must be at least 100, got 50"),
+        ("--docs", "x", "'x' is not an integer"),
+        ("--queries", "0", "must be at least 1, got 0"),
+        ("--dim", "1", "must be at least 2, got 1"),
+    ], ids=["docs", "docs-not-int", "queries", "dim"])
+    def test_make_synthetic_sizes_exit_2_naming_the_flag(self, flag, value, message, capsys,
+                                                         tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["make-synthetic", "--out-dir", str(tmp_path / "d"), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}\n" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_make_synthetic_creates_its_directory(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        assert cli_main(["make-synthetic", "--out-dir", str(out), "--docs", "100",
+                         "--queries", "4", "--dim", "2", "--splits", "2,1,1"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "collection.tsv", "doc_embeddings.crem", "qrels.txt", "queries-test.tsv",
+            "queries-train.tsv", "queries-valid.tsv", "query_embeddings.crem"]
+
+    def test_make_synthetic_directory_that_cannot_be_made_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli_main(["make-synthetic", "--out-dir", str(blocker / "d"), "--docs", "100",
+                         "--queries", "4", "--dim", "2"]) == 2
+        assert (f"argument --out-dir: cannot create directory {str(blocker / 'd')!r}"
+                in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_integer_lists_parse_to_ints(self):
         args = build_parser().parse_args(["make-synthetic", "--out-dir", "d",
