@@ -1,5 +1,6 @@
 """Command-line frontend: index building, synthetic data, training,
-search, evaluation, the probe/cutoff sweep, and the analysis reports."""
+search, evaluation and run comparison, the probe/cutoff sweep, and the
+feature-gain report."""
 
 from __future__ import annotations
 
@@ -18,10 +19,13 @@ from .features import build_registry
 from .ltr import (TrainParams, feature_gains, load_dataset, load_model, save_dataset,
                   save_model, write_train_log)
 from .metrics import (bonferroni, evaluate_run, load_run, paired_t_test, paired_values,
-                      per_query_diff, write_run)
+                      write_run)
 from .pipeline import (Pipeline, PipelineConfig, build_blended_datasets, sweep,
                        sweep_to_csv, train_variant)
 from .synthetic import MIN_DIM, MIN_DOCS, MIN_QUERIES, make_synthetic
+
+# A per-query nDCG gain at least this large counts as a clear improvement.
+CLEAR_GAIN = 0.03
 
 
 def _int(text: str) -> int:
@@ -197,10 +201,23 @@ def cmd_evaluate(args) -> int:
                              mrr_k=args.mrr_k, recall_k=args.recall_k,
                              rel_threshold=args.rel_threshold)
         name = f"ndcg@{args.ndcg_k}"
-        res = paired_t_test(*paired_values(report.per_query[name], other.per_query[name]))
-        (adj,) = bonferroni([res.p], max(1, args.bonferroni_m))
+        a, b = paired_values(report.per_query[name], other.per_query[name])
+        diff = np.subtract(a, b)
+        n = len(diff)
+        print(f"{name} diff over {n} queries (run - compare):")
+        buckets = (("degraded", diff < 0), ("unchanged", diff == 0), ("improved", diff > 0),
+                   (f"improved >= {CLEAR_GAIN}", diff >= CLEAR_GAIN))
+        for label, hits in buckets:
+            count = int(hits.sum())
+            print(f"  {label:<17} {count:>5} ({100.0 * count / max(n, 1):.1f}%)")
+        print(f"  non-degrading     {100.0 * int((diff >= 0).sum()) / max(n, 1):.1f}%")
+        if n < 2:
+            print(f"paired t-test on {name}: needs at least 2 queries, got {n}")
+            return 0
+        res = paired_t_test(a, b)
+        (adj,) = bonferroni([res.p], args.bonferroni_m)
         print(f"paired t-test on {name}: t={res.t:.4f} p={res.p:.3e} "
-              f"bonferroni(m={max(1, args.bonferroni_m)})={adj:.3e}")
+              f"bonferroni(m={args.bonferroni_m})={adj:.3e}")
     return 0
 
 
@@ -273,23 +290,6 @@ def cmd_gain_report(args) -> int:
     return 0
 
 
-def cmd_diff_report(args) -> int:
-    qrels = corpus_io.load_qrels(args.qrels)
-    rep_a = evaluate_run(load_run(args.run_a), qrels)
-    rep_b = evaluate_run(load_run(args.run_b), qrels)
-    metric = args.metric
-    buckets = per_query_diff(rep_a.per_query[metric], rep_b.per_query[metric],
-                             threshold=args.threshold)
-    print(f"{metric} diff over {buckets.n_queries} queries (a - b):")
-    print(f"  degraded          {buckets.degraded:>5} ({buckets.pct(buckets.degraded):.1f}%)")
-    print(f"  unchanged         {buckets.unchanged:>5} ({buckets.pct(buckets.unchanged):.1f}%)")
-    print(f"  improved          {buckets.improved:>5} ({buckets.pct(buckets.improved):.1f}%)")
-    print(f"  improved >= {buckets.threshold:<5} {buckets.improved_at_least:>5} "
-          f"({buckets.pct(buckets.improved_at_least):.1f}%)")
-    print(f"  non-degrading     {buckets.non_degrading_pct:.1f}%")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="blendrank",
                                      description="Two-stage dense + lexical retrieval cascade")
@@ -314,9 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index-dense", help="train k-means and build the IVF index")
     p.add_argument("--embeddings", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--nlist", type=int, default=0)
+    p.add_argument("--nlist", type=_at_least(0), default=0, help="0 picks the default")
     p.add_argument("--metric", choices=("dot", "cosine"), default="dot")
-    p.add_argument("--kmeans-iters", type=int, default=25)
+    p.add_argument("--kmeans-iters", type=_at_least(1), default=25)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_index_dense)
 
@@ -357,13 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a run file against qrels")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--ndcg-k", type=int, default=10)
-    p.add_argument("--mrr-k", type=int, default=10)
-    p.add_argument("--recall-k", type=int, default=1000)
+    p.add_argument("--ndcg-k", type=_at_least(1), default=10)
+    p.add_argument("--mrr-k", type=_at_least(1), default=10)
+    p.add_argument("--recall-k", type=_at_least(1), default=1000)
     p.add_argument("--rel-threshold", type=int, default=1)
     p.add_argument("--csv", default=None)
-    p.add_argument("--compare", default=None, help="second run for a paired t-test")
-    p.add_argument("--bonferroni-m", type=int, default=1)
+    p.add_argument("--compare", default=None,
+                   help="second run: per-query nDCG diff buckets and a paired t-test")
+    p.add_argument("--bonferroni-m", type=_at_least(1), default=1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("build-train", help="extract a training dataset to npz")
@@ -373,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-query-embeddings", default=None)
     p.add_argument("--valid-query-embeddings", default=None)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--n-neg", type=int, default=30)
+    p.add_argument("--n-neg", type=_at_least(0), default=30)
     p.add_argument("--train-out", required=True)
     p.add_argument("--valid-out", required=True)
     p.set_defaults(func=cmd_build_train)
@@ -391,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-data-leaf", type=int, default=100)
     p.add_argument("--patience", type=int, default=30)
     p.add_argument("--max-trees", type=int, default=500)
-    p.add_argument("--trials", type=int, default=0,
+    p.add_argument("--trials", type=_at_least(0), default=0,
                    help="random-search trials; 0 trains with the given params")
     p.add_argument("--min-data-range", type=_range_of(int), default=None,
                    help="lo,hi sample range for min_data_leaf during tuning")
@@ -413,16 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gain-report", help="top features by total split gain")
     p.add_argument("--model", required=True)
-    p.add_argument("--top", type=int, default=20)
+    p.add_argument("--top", type=_at_least(1), default=20)
     p.set_defaults(func=cmd_gain_report)
-
-    p = sub.add_parser("diff-report", help="per-query metric diff histogram")
-    p.add_argument("--run-a", required=True)
-    p.add_argument("--run-b", required=True)
-    p.add_argument("--qrels", required=True)
-    p.add_argument("--metric", default="ndcg@10")
-    p.add_argument("--threshold", type=float, default=0.03)
-    p.set_defaults(func=cmd_diff_report)
 
     return parser
 

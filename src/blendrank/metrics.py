@@ -1,4 +1,5 @@
-"""Ranking metrics, TREC run file I/O, and paired significance testing.
+"""Ranking metrics, TREC run file I/O, and paired significance testing of
+two runs' per-query values.
 
 nDCG uses exponential gain (2^grade - 1) and a log2(1 + rank) discount.
 This module is the one definition of gain, DCG and nDCG: evaluation and
@@ -172,25 +173,6 @@ def bonferroni(p_values, m: int) -> list[float]:
     return [min(1.0, m * p) for p in p_values]
 
 
-@dataclass
-class DiffBuckets:
-    """Per-query metric differences a - b, bucketed."""
-
-    n_queries: int
-    degraded: int
-    unchanged: int
-    improved: int
-    improved_at_least: int
-    threshold: float
-
-    def pct(self, count: int) -> float:
-        return 100.0 * count / self.n_queries if self.n_queries else 0.0
-
-    @property
-    def non_degrading_pct(self) -> float:
-        return self.pct(self.unchanged + self.improved)
-
-
 def paired_values(a: dict[str, float], b: dict[str, float]) -> tuple[list, list]:
     """The values of two per-query reports, matched by query id in sorted id
     order; ValueError naming the query ids that only one of them has."""
@@ -199,25 +181,6 @@ def paired_values(a: dict[str, float], b: dict[str, float]) -> tuple[list, list]
                          f"only in the second {sorted(b.keys() - a.keys())}")
     qids = sorted(a)
     return [a[q] for q in qids], [b[q] for q in qids]
-
-
-def per_query_diff(a: dict[str, float], b: dict[str, float],
-                   threshold: float = 0.03) -> DiffBuckets:
-    """Bucket per-query diffs into degraded (< 0), unchanged (= 0),
-    improved (> 0), and improved by at least `threshold`."""
-    degraded = unchanged = improved = improved_at_least = 0
-    for va, vb in zip(*paired_values(a, b)):
-        diff = va - vb
-        if diff < 0:
-            degraded += 1
-        elif diff == 0:
-            unchanged += 1
-        else:
-            improved += 1
-            if diff >= threshold:
-                improved_at_least += 1
-    return DiffBuckets(len(a), degraded, unchanged, improved,
-                       improved_at_least, threshold)
 
 
 class RunList:

@@ -48,6 +48,9 @@ class PipelineConfig:
     model: str = ""
 
     def __post_init__(self):
+        for key, lo in (("k_first", 1), ("nprobe", 1), ("k_final", 1), ("rerank_cutoff", 0)):
+            if getattr(self, key) < lo:
+                raise ValueError(f"{key} must be at least {lo}, got {getattr(self, key)}")
         if self.rerank_cutoff > self.k_first:
             raise ValueError("rerank_cutoff must not exceed k_first")
         if self.k_final > self.k_first:

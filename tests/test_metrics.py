@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blendrank.corpus import Qrels
-from blendrank.metrics import (DiffBuckets, MetricReport, RunList, bonferroni,
-                               evaluate_run, load_run, mrr_at_k, ndcg_at_k,
-                               paired_t_test, per_query_diff, recall_at_k,
-                               regularized_incomplete_beta,
+from blendrank.metrics import (MetricReport, RunList, bonferroni, evaluate_run,
+                               load_run, mrr_at_k, ndcg_at_k, paired_t_test,
+                               recall_at_k, regularized_incomplete_beta,
                                student_t_two_sided_p, write_run)
 
 
@@ -186,34 +185,6 @@ class TestBonferroni:
     def test_m_too_small(self):
         with pytest.raises(ValueError):
             bonferroni([0.1, 0.2], 1)
-
-
-class TestPerQueryDiff:
-    def test_identical_all_unchanged(self):
-        vals = {"q1": 0.5, "q2": 0.7}
-        d = per_query_diff(vals, dict(vals))
-        assert d.unchanged == 2 and d.degraded == 0 and d.improved == 0
-        assert d.pct(d.unchanged) == 100.0
-
-    def test_worked_buckets(self):
-        a = {"q1": 0.55, "q2": 0.3, "q3": 0.29, "q4": 0.31}
-        b = {"q1": 0.50, "q2": 0.3, "q3": 0.30, "q4": 0.30}
-        d = per_query_diff(a, b, threshold=0.03)
-        assert d.non_degrading_pct == 75.0
-        assert d.pct(d.improved) == 50.0
-        assert d.pct(d.improved_at_least) == 25.0
-
-    def test_buckets_partition(self):
-        rng = np.random.default_rng(3)
-        a = {f"q{i}": float(rng.random()) for i in range(40)}
-        b = {f"q{i}": float(rng.random()) for i in range(40)}
-        d = per_query_diff(a, b)
-        assert d.degraded + d.unchanged + d.improved == d.n_queries
-
-    def test_query_set_mismatch(self):
-        with pytest.raises(ValueError, match=re.escape(
-                "only in the first ['q1', 'q3'], only in the second ['q2']")):
-            per_query_diff({"q1": 0.1, "q3": 0.2, "q4": 0.3}, {"q2": 0.1, "q4": 0.3})
 
 
 class TestRunFiles:

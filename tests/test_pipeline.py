@@ -2,6 +2,7 @@
 
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from blendrank.embeddings import EmbeddingMatrix, toy_encode
 from blendrank.features import DEFAULT_LEXICAL_NAMES
 from blendrank.ivf import Centroids, build_ivf, default_nlist, search, train_kmeans
 from blendrank.ltr import TrainParams
-from blendrank.metrics import evaluate_run, load_run
+from blendrank.metrics import MetricReport, evaluate_run, load_run
 from blendrank.pipeline import (LatencyBreakdown, Pipeline, PipelineConfig,
                                 first_stage_rankings, sweep, sweep_to_csv)
 from blendrank.scorer import score_batch
@@ -228,6 +229,16 @@ class TestConfig:
             PipelineConfig(k_first=100, rerank_cutoff=200)
         with pytest.raises(ValueError):
             PipelineConfig(k_first=100, k_final=200)
+
+    @pytest.mark.parametrize("key, value, lo", [
+        ("k_first", 0, 1), ("nprobe", 0, 1), ("k_final", -3, 1), ("rerank_cutoff", -5, 0)])
+    def test_impossible_sizes_in_a_config_file_name_the_key(self, key, value, lo, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"^{key} must be at least {lo}, got {value}$"):
+            PipelineConfig.from_file(p)
+        with pytest.raises(ValueError, match=f"^{key} must be at least {lo}, got {value}$"):
+            replace(PipelineConfig(), **{key: value})
 
     def test_from_file_with_overrides(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -656,8 +667,8 @@ class TestCli:
         assert rc == 0
         rc = cli_main(["gain-report", "--model", f"{out}/model.json"])
         assert rc == 0
-        rc = cli_main(["diff-report", "--run-a", f"{out}/run.txt",
-                       "--run-b", f"{out}/run.txt", "--qrels", f"{out}/qrels.txt"])
+        rc = cli_main(["evaluate", "--run", f"{out}/run.txt", "--qrels", f"{out}/qrels.txt",
+                       "--compare", f"{out}/run.txt"])
         assert rc == 0
         assert load_run(f"{out}/run.txt").entries
         assert (out / "sweep.csv").read_text().count("\n") == 1 + 2 * 2
@@ -846,7 +857,8 @@ class TestCli:
         assert type(args.min_data_range[0]) is int and type(args.hessian_range[0]) is float
 
     def test_readme_walkthrough_parses(self):
-        """Every command of README's CLI walkthrough is one the parser takes."""
+        """Every command of README's CLI walkthrough is one the parser takes; every
+        `blendrank <name>` in README is a subcommand, and README names each one."""
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
         block = readme.split("## CLI walkthrough", 1)[1].split("```")[1]
         commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
@@ -854,10 +866,16 @@ class TestCli:
         assert {argv[0] for argv in commands} == {"blendrank"}
         assert [argv[1] for argv in commands] == [
             "make-synthetic", "index-lexical", "index-dense", "build-train", "train",
-            "search", "evaluate", "sweep", "gain-report", "diff-report"]
+            "search", "evaluate", "sweep", "gain-report", "evaluate"]
         parser = build_parser()
         for argv in commands:
             parser.parse_args(argv[1:])
+        subcommands = set(re.search(r"\{(.*?)\}", parser.format_usage()).group(1).split(","))
+        named = set(re.findall(r"\bblendrank ([\w-]+)", readme))
+        assert sorted(named - subcommands) == [], "README names a command the parser lacks"
+        assert sorted(c for c in subcommands
+                      if not re.search(rf"(?<![\w-]){c}(?![\w-])", readme)) == [], \
+            "README never names these commands"
 
     def test_flags_override_the_config_file_before_it_is_checked(self, trained_workspace,
                                                                   tmp_path):
@@ -935,3 +953,148 @@ class TestCli:
                 "query sets differ: only in the first ['q2'], only in the second []")):
             cli_main(["evaluate", "--run", str(run_a), "--qrels", str(qrels),
                       "--compare", str(run_b)])
+        run_a.write_text("q1 Q0 d1 1 2.0 a\nq3 Q0 d1 1 2.0 a\nq4 Q0 d1 1 2.0 a\n")
+        run_b.write_text("q2 Q0 d1 1 2.0 b\nq4 Q0 d1 1 2.0 b\n")
+        with pytest.raises(ValueError, match=re.escape(
+                "only in the first ['q1', 'q3'], only in the second ['q2']")):
+            cli_main(["evaluate", "--run", str(run_a), "--qrels", str(qrels),
+                      "--compare", str(run_b)])
+
+    def test_compare_of_identical_runs_is_all_unchanged(self, tmp_path, capsys):
+        ranked = {"q1": at_rank(1), "q2": at_rank(3)}
+        assert compare(tmp_path, capsys, ["q1", "q2"], ranked, ranked) == [
+            "ndcg@10 diff over 2 queries (run - compare):",
+            "  degraded              0 (0.0%)",
+            "  unchanged             2 (100.0%)",
+            "  improved              0 (0.0%)",
+            "  improved >= 0.03      0 (0.0%)",
+            "  non-degrading     100.0%",
+            "paired t-test on ndcg@10: t=0.0000 p=1.000e+00 bonferroni(m=1)=1.000e+00"]
+
+    def test_compare_buckets_a_worked_example(self, tmp_path, capsys):
+        """q1 gains 0.37 (rank 2 -> 1), q2 ties, q3 loses, and q4 gains 0.012
+        (rank 10 -> 9): one large gain, one small."""
+        run = {"q1": at_rank(1), "q2": at_rank(1), "q3": at_rank(2), "q4": at_rank(9)}
+        other = {"q1": at_rank(2), "q2": at_rank(1), "q3": at_rank(1), "q4": at_rank(10)}
+        lines = compare(tmp_path, capsys, list(run), run, other, "--bonferroni-m", "3")
+        assert lines[:6] == [
+            "ndcg@10 diff over 4 queries (run - compare):",
+            "  degraded              1 (25.0%)",
+            "  unchanged             1 (25.0%)",
+            "  improved              2 (50.0%)",
+            "  improved >= 0.03      1 (25.0%)",
+            "  non-degrading     75.0%"]
+        assert re.fullmatch(r"paired t-test on ndcg@10: t=\S+ p=\S+ bonferroni\(m=3\)=\S+",
+                            lines[6])
+
+    def test_compare_buckets_partition_the_queries(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        qids = [f"q{i}" for i in range(40)]
+        grades = {q: rng.integers(0, 4, size=3) for q in qids}
+        qrels = "".join(f"{q} 0 rel{j} {g}\n" for q in qids for j, g in enumerate(grades[q]))
+        docs = ["rel0", "rel1", "rel2", "x1", "x2", "x3"]
+        run, other = ({q: list(rng.permutation(docs)) for q in qids} for _ in range(2))
+        lines = compare(tmp_path, capsys, qids, run, other, qrels=qrels)
+        counts = {line.split()[0]: int(line.split()[1]) for line in lines[1:4]}
+        assert lines[0] == "ndcg@10 diff over 40 queries (run - compare):"
+        assert counts["degraded"] + counts["unchanged"] + counts["improved"] == 40
+        assert min(counts.values()) > 0
+
+    def test_compare_counts_a_difference_of_exactly_003_as_improved_by_it(
+            self, tmp_path, capsys, monkeypatch):
+        """0.25 - 0.22 is 0.03 in binary floating point, and the float below 0.25
+        less 0.22 is not. No nDCG pair differs by exactly 0.03, so the values are
+        given to evaluate directly."""
+        assert 0.25 - 0.22 == 0.03
+        values = {"run": {"q1": 0.25, "q2": float(np.nextafter(0.25, 0.0))},
+                  "compare": {"q1": 0.22, "q2": 0.22}}
+        monkeypatch.setattr("blendrank.cli.evaluate_run", lambda run, qrels, **_: MetricReport(
+            {"ndcg@10": values[run.tag]}))
+        ranked = {"q1": at_rank(1), "q2": at_rank(1)}
+        assert compare(tmp_path, capsys, ["q1", "q2"], ranked, ranked)[3:6] == [
+            "  improved              2 (100.0%)",
+            "  improved >= 0.03      1 (50.0%)",
+            "  non-degrading     100.0%"]
+
+    def test_compare_of_one_query_prints_its_buckets(self, tmp_path, capsys):
+        assert compare(tmp_path, capsys, ["q1"], {"q1": at_rank(1)}, {"q1": at_rank(2)}) == [
+            "ndcg@10 diff over 1 queries (run - compare):",
+            "  degraded              0 (0.0%)",
+            "  unchanged             0 (0.0%)",
+            "  improved              1 (100.0%)",
+            "  improved >= 0.03      1 (100.0%)",
+            "  non-degrading     100.0%",
+            "paired t-test on ndcg@10: needs at least 2 queries, got 1"]
+
+    def test_compare_of_two_empty_runs_prints_zero_queries(self, tmp_path, capsys):
+        assert compare(tmp_path, capsys, [], {}, {}) == [
+            "ndcg@10 diff over 0 queries (run - compare):",
+            "  degraded              0 (0.0%)",
+            "  unchanged             0 (0.0%)",
+            "  improved              0 (0.0%)",
+            "  improved >= 0.03      0 (0.0%)",
+            "  non-degrading     0.0%",
+            "paired t-test on ndcg@10: needs at least 2 queries, got 0"]
+
+    @pytest.mark.parametrize("argv, value, lo", [
+        (["evaluate", "--ndcg-k"], "0", 1),
+        (["evaluate", "--mrr-k"], "0", 1),
+        (["evaluate", "--recall-k"], "0", 1),
+        (["evaluate", "--bonferroni-m"], "0", 1),
+        (["evaluate", "--bonferroni-m"], "-4", 1),
+        (["gain-report", "--top"], "-2", 1),
+        (["build-train", "--n-neg"], "-1", 0),
+        (["index-dense", "--nlist"], "-1", 0),
+        (["index-dense", "--kmeans-iters"], "0", 1),
+        (["train", "--trials"], "-1", 0),
+    ], ids=["ndcg-k", "mrr-k", "recall-k", "bonferroni-m-0", "bonferroni-m-negative", "top",
+            "n-neg", "nlist", "kmeans-iters", "trials"])
+    def test_counts_exit_2_naming_the_flag(self, argv, value, lo, capsys):
+        (command, flag) = argv
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, f"{flag}={value}"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least {lo}, got {value}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k-first", "0", "k_first must be at least 1, got 0"),
+        ("--nprobe", "0", "nprobe must be at least 1, got 0"),
+        ("--k-final", "0", "k_final must be at least 1, got 0"),
+        ("--rerank-cutoff", "-5", "rerank_cutoff must be at least 0, got -5"),
+    ], ids=["k-first", "nprobe", "k-final", "rerank-cutoff"])
+    def test_impossible_cascade_sizes_rejected_before_any_file_is_read(
+            self, flag, value, message, tmp_path):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cli_main(["search", f"{flag}={value}", "--collection", str(tmp_path / "missing.tsv"),
+                      "--out", str(tmp_path / "run.txt")])
+        assert not list(tmp_path.iterdir())
+
+    def test_diff_report_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["diff-report", "--run-a", "a.txt", "--run-b", "b.txt", "--qrels", "q.txt"])
+        assert exc.value.code == 2
+        assert "argument command: invalid choice: 'diff-report'" in capsys.readouterr().err
+
+
+def at_rank(rank):
+    """A ranking with the judged document `rel` at `rank`, under unjudged ones."""
+    return [f"x{i}" for i in range(1, rank)] + ["rel"]
+
+
+def compare(tmp_path, capsys, qids, run, other, *flags, qrels=None):
+    """What `evaluate --run RUN --compare OTHER` prints after its metric table.
+    `run` and `other` map a query id to its ranked doc ids; by default each
+    query in `qids` has one judged document, `rel`, at grade 1."""
+    files = {"qrels.txt": "".join(f"{q} 0 rel 1\n" for q in qids) if qrels is None else qrels}
+    for tag, ranked in (("run", run), ("compare", other)):
+        files[f"{tag}.txt"] = "".join(f"{q} Q0 {d} {r} {-float(r)} {tag}\n"
+                                      for q, docs in ranked.items()
+                                      for r, d in enumerate(docs, start=1))
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    capsys.readouterr()
+    assert cli_main(["evaluate", "--run", str(tmp_path / "run.txt"), "--qrels",
+                     str(tmp_path / "qrels.txt"), "--compare", str(tmp_path / "compare.txt"),
+                     *flags]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    return lines[next(i for i, line in enumerate(lines) if " diff over " in line):]
