@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from blendrank.corpus import Qrels
 from blendrank.metrics import (MetricReport, RunList, bonferroni, evaluate_run,
                                load_run, mrr_at_k, ndcg_at_k, paired_t_test,
-                               recall_at_k, regularized_incomplete_beta,
+                               paired_values, recall_at_k,
+                               regularized_incomplete_beta,
                                student_t_two_sided_p, write_run)
 
 
@@ -185,6 +186,13 @@ class TestBonferroni:
     def test_m_too_small(self):
         with pytest.raises(ValueError):
             bonferroni([0.1, 0.2], 1)
+
+
+class TestPerQueryDiff:
+    def test_query_set_mismatch(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "only in the first ['q1', 'q3'], only in the second ['q2']")):
+            paired_values({"q1": 0.1, "q3": 0.2, "q4": 0.3}, {"q2": 0.1, "q4": 0.3})
 
 
 class TestRunFiles:
